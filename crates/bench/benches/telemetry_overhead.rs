@@ -1,8 +1,8 @@
 //! Overhead of the telemetry primitives: the disabled fast path (one
 //! relaxed atomic load — what every kernel call pays in production) vs.
 //! the enabled path (mutexed registry update), and a small instrumented
-//! matmul with telemetry off vs. on. Also covers the hierarchical span
-//! guard and histogram `observe` added for run introspection.
+//! matmul with telemetry off vs. on. Covers the span guard with counters
+//! and with histogram `observe`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use enhancenet_tensor::TensorRng;
@@ -10,17 +10,17 @@ use std::hint::black_box;
 
 fn bench_telemetry(c: &mut Criterion) {
     enhancenet_telemetry::set_enabled(false);
-    c.bench_function("telemetry/disabled/scoped+count", |b| {
+    c.bench_function("telemetry/disabled/span+count", |b| {
         b.iter(|| {
-            let _t = enhancenet_telemetry::scoped(black_box("bench.scope"));
+            let _s = enhancenet_telemetry::span(black_box("bench.span"));
             enhancenet_telemetry::count(black_box("bench.counter"), 1);
         });
     });
 
     enhancenet_telemetry::set_enabled(true);
-    c.bench_function("telemetry/enabled/scoped+count", |b| {
+    c.bench_function("telemetry/enabled/span+count", |b| {
         b.iter(|| {
-            let _t = enhancenet_telemetry::scoped(black_box("bench.scope"));
+            let _s = enhancenet_telemetry::span(black_box("bench.span"));
             enhancenet_telemetry::count(black_box("bench.counter"), 1);
         });
     });

@@ -30,7 +30,7 @@ pub enum EnhanceNetError {
         got: Vec<usize>,
     },
     /// The model cannot report its expected input shape, which the caller's
-    /// entry point requires (e.g. [`crate::serve::ForecastService`]).
+    /// entry point requires (e.g. [`crate::serve::FleetService`]).
     UnknownInputShape {
         /// The model's `name()`.
         model: String,

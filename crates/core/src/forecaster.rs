@@ -70,8 +70,8 @@ pub trait Forecaster: Send + Sync {
     /// knows it. Hosts built from [`ModelDims`]-style configs report it;
     /// shape-agnostic baselines may keep the default `None`, which disables
     /// up-front validation in [`Forecaster::predict`] and bars them from
-    /// [`crate::serve::ForecastService`] (which needs the shape to size its
-    /// sliding window).
+    /// [`crate::serve::FleetService`] (which needs the shape to size each
+    /// tenant's sliding window).
     ///
     /// [`ModelDims`]: https://docs.rs/enhancenet-models
     fn input_shape(&self) -> Option<[usize; 3]> {

@@ -26,10 +26,10 @@
 //!   attribution, DAMGN λ/adjacency diagnostics, DFGN memory drift)
 //!   emitted as structured telemetry events.
 //!
-//! * [`serve`] — the online serving runtime: sliding-window ingest,
-//!   micro-batched inference on worker threads, deadlines with graceful
-//!   degradation to persistence forecasts, and a sharded multi-tenant
-//!   fleet with zero-downtime weight hot swap and per-tenant quotas.
+//! * [`serve`] — the online serving runtime, one sharded multi-tenant
+//!   fleet: sliding-window ingest per stream, micro-batched inference on
+//!   worker threads, deadlines with graceful degradation to persistence
+//!   forecasts, zero-downtime weight hot swap and per-tenant quotas.
 //!
 //! The host models themselves (RNN, TCN, GRNN, GTCN and their enhanced
 //! variants) live in `enhancenet-models`; this crate holds everything that
@@ -61,9 +61,9 @@ pub use forecaster::{Forecaster, ForwardCtx};
 pub use gconv::{graph_conv, GcSupport};
 pub use probes::{MemoryDriftProbe, ProbeConfig};
 pub use serve::{
-    DegradedCause, FleetService, Forecast, ForecastService, PendingForecast, RequestTiming,
-    ServeConfig, ServeConfigBuilder, ShutdownMode, ShutdownReport, SnapshotPublisher, Tenant,
-    TenantQuota, TenantReport,
+    DegradedCause, FleetService, Forecast, PendingForecast, RequestTiming, ServeConfig,
+    ServeConfigBuilder, ShutdownMode, ShutdownReport, SnapshotPublisher, Tenant, TenantQuota,
+    TenantReport,
 };
 pub use trainer::{
     EpochTelemetry, EvalReport, TrainConfig, TrainConfigBuilder, TrainReport, Trainer,

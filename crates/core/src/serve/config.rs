@@ -1,31 +1,20 @@
 //! Serving configuration: the [`ServeConfig`] knobs and the validating
-//! [`ServeConfigBuilder`] that is the front door to both services.
+//! [`ServeConfigBuilder`] that is the front door to the serving runtime.
 //!
 //! Construction mirrors `TrainConfig::builder()`: chain setters, then either
 //! [`ServeConfigBuilder::build`] for a validated config value, or go
-//! straight to [`ServeConfigBuilder::spawn`] /
-//! [`ServeConfigBuilder::spawn_fleet`] to validate *and* launch the
-//! service in one step. Field-by-field struct literals over `Default` still
-//! compile for one more release (PR 7 grew the struct to 10+ ad-hoc fields
-//! and every call site paid for it) but are deprecated: the builder is the
-//! only construction path that validates eagerly and the only one that can
-//! express fleet knobs ([`ServeConfigBuilder::workers`],
-//! [`ServeConfigBuilder::tenant_quota`]).
+//! straight to [`ServeConfigBuilder::spawn_fleet`] to validate *and*
+//! launch the fleet in one step.
 
 use super::fleet::FleetService;
-use super::service::ForecastService;
 use super::tenant::TenantQuota;
 use crate::error::EnhanceNetError;
 use crate::forecaster::Forecaster;
 use enhancenet_data::StandardScaler;
 use std::time::Duration;
 
-/// Serving policy knobs.
-///
-/// Public fields remain readable everywhere; *constructing* a `ServeConfig`
-/// by struct literal (`ServeConfig { .., ..Default::default() }`) is the
-/// deprecated PR 4 path, kept for one release. New code goes through
-/// [`ServeConfig::builder`], which validates before any thread spawns.
+/// Serving policy knobs; build through [`ServeConfig::builder`], which
+/// validates before any thread spawns.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Largest batch one forward pass may serve (must be > 0).
@@ -59,17 +48,16 @@ pub struct ServeConfig {
     /// [`enhancenet_telemetry::SloReport`] is measured against this target.
     pub slo_target: f64,
     /// Worker threads a [`FleetService`] shards requests across (must be
-    /// > 0). Ignored by the single-worker [`ForecastService`].
+    /// > 0).
     pub workers: usize,
     /// Default per-tenant token-bucket quota applied to every tenant a
     /// [`FleetService`] creates. `None` (the default) serves tenants
-    /// unthrottled. Ignored by [`ForecastService`].
+    /// unthrottled.
     pub tenant_quota: Option<TenantQuota>,
 }
 
 impl Default for ServeConfig {
-    /// The PR 4 construction path, kept one release for migration; prefer
-    /// [`ServeConfig::builder`], which validates eagerly.
+    /// The defaults [`ServeConfig::builder`] starts from.
     fn default() -> Self {
         Self {
             max_batch: 8,
@@ -93,12 +81,11 @@ impl ServeConfig {
         ServeConfigBuilder { config: Self::default() }
     }
 
-    /// The model-independent validity checks, shared by
-    /// [`ServeConfigBuilder::build`] and the (deprecated) literal-construct
-    /// path through `ForecastService::new`. Model-dependent checks
+    /// The model-independent validity checks behind
+    /// [`ServeConfigBuilder::build`]. Model-dependent checks
     /// (`target_feature` vs. channel count) happen at spawn, where the
     /// model is known.
-    pub(crate) fn validate(&self) -> Result<(), EnhanceNetError> {
+    fn validate(&self) -> Result<(), EnhanceNetError> {
         fn positive(value: usize, field: &'static str) -> Result<(), EnhanceNetError> {
             if value == 0 {
                 return Err(EnhanceNetError::InvalidConfig { field, reason: "must be > 0".into() });
@@ -131,7 +118,7 @@ impl ServeConfig {
 /// Validating builder for [`ServeConfig`]; see [`ServeConfig::builder`].
 ///
 /// Setters never fail — all validation happens in one place at
-/// [`ServeConfigBuilder::build`] (or the `spawn*` shortcuts), so a bad
+/// [`ServeConfigBuilder::build`] (or the `spawn_fleet` shortcut), so a bad
 /// combination of knobs is reported against the finished config, not the
 /// call order.
 #[derive(Debug, Clone)]
@@ -213,29 +200,17 @@ impl ServeConfigBuilder {
         Ok(self.config)
     }
 
-    /// Validates, then spawns a single-worker [`ForecastService`] around
-    /// `model` — the replacement for the deprecated positional
-    /// `ForecastService::new(model, scaler, config)`.
+    /// Validates, then spawns a [`FleetService`] sharding requests across
+    /// [`ServeConfig::workers`] threads over a shared snapshot of `model`.
     ///
     /// `scaler` must be the scaler the model was trained with;
     /// [`crate::Trainer`] users take it from `WindowDataset::scaler`.
-    pub fn spawn(
-        self,
-        model: Box<dyn Forecaster + Send>,
-        scaler: StandardScaler,
-    ) -> Result<ForecastService, EnhanceNetError> {
-        let config = self.build()?;
-        ForecastService::from_config(model, scaler, config)
-    }
-
-    /// Validates, then spawns a [`FleetService`] sharding requests across
-    /// [`ServeConfig::workers`] threads over a shared snapshot of `model`.
     pub fn spawn_fleet(
         self,
         model: Box<dyn Forecaster + Send>,
         scaler: StandardScaler,
     ) -> Result<FleetService, EnhanceNetError> {
         let config = self.build()?;
-        FleetService::from_config(model.into(), scaler, config)
+        FleetService::from_config(model, scaler, config)
     }
 }

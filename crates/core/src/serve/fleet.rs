@@ -1,4 +1,5 @@
-//! [`FleetService`]: the sharded multi-worker serving runtime with
+//! [`FleetService`]: the serving runtime. Every stream is a tenant of a
+//! fleet of `K` worker threads (`K = 1` serves a single stream), with
 //! zero-downtime hot swap and per-tenant backpressure.
 //!
 //! Architecture (DESIGN §6h):
@@ -25,11 +26,13 @@
 //!   the global safety net behind it.
 //!
 //! [`PlanCache`]: enhancenet_autodiff::PlanCache
+//! [`ParamStore`]: enhancenet_autodiff::ParamStore
+//! [`TenantQuota`]: super::TenantQuota
 
 use super::config::ServeConfig;
 use super::reply::{PendingForecast, ReplySlot};
 use super::snapshot::{Snapshot, SnapshotCell, SnapshotPublisher};
-use super::tenant::{record_tenant_outcome, Tenant, TenantReport, TenantState, TokenBucket};
+use super::tenant::{Tenant, TenantReport, TenantState, TokenBucket};
 use super::worker::{self, BatchRequest, ShutdownState};
 use super::{DegradedCause, Forecast, RequestTiming, ShutdownMode, ShutdownReport};
 use crate::error::EnhanceNetError;
@@ -43,13 +46,12 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Refreshes the `serve.slo.*` gauges from a rolling-window report; shared
-/// by [`super::ForecastService`] and the fleet.
-pub(crate) fn publish_slo_gauges(report: &SloReport) {
+/// Refreshes the `serve.slo.*` gauges from a rolling-window report.
+fn publish_slo_gauges(report: &SloReport) {
     enhancenet_telemetry::gauge("serve.slo.p50_ns", report.latency_p50_ns);
     enhancenet_telemetry::gauge("serve.slo.p95_ns", report.latency_p95_ns);
     enhancenet_telemetry::gauge("serve.slo.p99_ns", report.latency_p99_ns);
@@ -65,14 +67,43 @@ struct Shard {
     worker: Option<JoinHandle<()>>,
 }
 
-/// A multi-tenant, multi-worker forecasting endpoint over a shared model
-/// snapshot; spawn through
-/// [`ServeConfig::builder`](super::ServeConfig::builder)`.workers(k).…spawn_fleet(model, scaler)`.
+/// The fleet's model, which workers touch only to compile plans.
+///
+/// Tracing `forward` reads the model's *own* store, and some values are
+/// baked into the plan as constants at trace time: DFGN's cached filters,
+/// DAMGN's static fold, its top-k pattern and fallback rows. So before a
+/// compile the worker loads the snapshot it serves into the model; the
+/// store version bumps, those eval caches invalidate, and the plan matches
+/// the snapshot exactly.
+struct CompileModel {
+    model: Box<dyn Forecaster + Send>,
+    /// Epoch of the snapshot whose values the model's store holds.
+    epoch: u64,
+}
+
+impl CompileModel {
+    /// Compiles an eval plan for batched input `x` against `snapshot`.
+    fn compile(&mut self, snapshot: &Snapshot, x: &Tensor) -> Option<PlanExecutor> {
+        if self.epoch != snapshot.epoch {
+            let store = self.model.store_mut();
+            for id in snapshot.store.ids() {
+                store.value_mut(id).copy_from(snapshot.store.value(id));
+            }
+            self.epoch = snapshot.epoch;
+        }
+        self.model.compile_eval_plan(x).0.ok().map(PlanExecutor::new)
+    }
+}
+
+/// The serving runtime: a multi-tenant, multi-worker forecasting endpoint
+/// over a shared model snapshot; spawn through
+/// [`ServeConfig::builder`](super::ServeConfig::builder)`.…spawn_fleet(model, scaler)`.
 ///
 /// Interact per tenant: [`FleetService::tenant`] returns a [`Tenant`]
-/// handle for ingest/forecast; [`FleetService::publisher`] returns the
-/// hot-swap handle for a background trainer; [`FleetService::shutdown`]
-/// drains or sheds the fleet. The raw [`FleetService::submit`] path takes
+/// handle for ingest/forecast (a single stream is one tenant of a
+/// `workers(1)` fleet); [`FleetService::publisher`] returns the hot-swap
+/// handle for a background trainer; [`FleetService::shutdown`] drains or
+/// sheds the fleet. The raw [`FleetService::submit`] path takes
 /// pre-scaled windows for benchmarks and fan-out frontends.
 pub struct FleetService {
     shards: Vec<Shard>,
@@ -96,15 +127,17 @@ impl FleetService {
     /// The spawn path behind [`super::ServeConfigBuilder::spawn_fleet`];
     /// assumes `config` already passed validation.
     ///
-    /// Beyond the single-service checks, the model must be *plannable*:
-    /// fleet workers serve exclusively through compiled plans resolved
-    /// against published snapshots (the tape path reads the model's own
-    /// store and cannot see hot-swapped weights), so a model whose eval
-    /// trace cannot compile is rejected up front with a typed
-    /// [`EnhanceNetError::InvalidConfig`] rather than silently serving
-    /// stale weights after a swap.
+    /// Fails with [`EnhanceNetError::UnknownInputShape`] when the model
+    /// does not report its `[H, N, C]` input shape (needed to size each
+    /// tenant's sliding window), and with
+    /// [`EnhanceNetError::InvalidConfig`] for an out-of-range
+    /// `target_feature`, an unbindable metrics address, or a model that is
+    /// not *plannable*: workers serve exclusively through compiled plans
+    /// resolved against published snapshots (the tape path reads the
+    /// model's own store and cannot see hot-swapped weights), so a model
+    /// whose eval trace cannot compile is rejected up front.
     pub(crate) fn from_config(
-        model: Arc<dyn Forecaster + Send>,
+        model: Box<dyn Forecaster + Send>,
         scaler: StandardScaler,
         config: ServeConfig,
     ) -> Result<Self, EnhanceNetError> {
@@ -129,6 +162,7 @@ impl FleetService {
         let horizon = model.horizon();
         let snapshots = Arc::new(SnapshotCell::new(model.store()));
         let publisher = SnapshotPublisher::new(Arc::clone(&snapshots), model.store());
+        let model = Arc::new(Mutex::new(CompileModel { model, epoch: 0 }));
         let shutdown = Arc::new(ShutdownState::new());
         let live_workers = Arc::new(AtomicUsize::new(config.workers));
         let mut shards = Vec::with_capacity(config.workers);
@@ -223,14 +257,15 @@ impl FleetService {
 
     /// Address of the embedded metrics server, when
     /// [`ServeConfig::metrics_addr`] was set (resolves port 0). Ready ⇔
-    /// every worker thread is alive.
+    /// every worker thread is alive; per-stream warmth is
+    /// [`Tenant::is_ready`] and the `serve.fallback.cold` counter.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics.as_ref().map(MetricsServer::local_addr)
     }
 
     /// Fleet-wide rolling SLO statistics (across all tenants).
     pub fn slo_report(&self) -> SloReport {
-        self.slo.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).report()
+        super::lock(&self.slo).report()
     }
 
     /// The handle for `name`'s stream, creating the tenant on first use:
@@ -238,21 +273,18 @@ impl FleetService {
     /// [`ServeConfig::tenant_quota`], and a round-robin shard assignment
     /// that is stable for the fleet's lifetime.
     pub fn tenant(&self, name: &str) -> Tenant<'_> {
-        let mut tenants = self.tenants.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut tenants = super::lock(&self.tenants);
         let state = match tenants.entry(name.to_string()) {
             Entry::Occupied(entry) => Arc::clone(entry.get()),
             Entry::Vacant(entry) => {
                 let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+                let config = &self.config;
                 let state = Arc::new(Mutex::new(TenantState {
                     name: name.to_string(),
                     shard,
                     buffer: SlidingWindow::new(self.input[0], self.input[1], self.input[2]),
-                    bucket: self.config.tenant_quota.map(TokenBucket::new),
-                    slo: SloWindow::new(
-                        self.config.slo_window,
-                        self.config.slo_slots,
-                        self.config.slo_target,
-                    ),
+                    bucket: config.tenant_quota.map(TokenBucket::new),
+                    slo: SloWindow::new(config.slo_window, config.slo_slots, config.slo_target),
                     requests: 0,
                     throttled: 0,
                     degraded: 0,
@@ -267,21 +299,9 @@ impl FleetService {
 
     /// Reports for every tenant the fleet has seen, sorted by name.
     pub fn tenant_reports(&self) -> Vec<TenantReport> {
-        let tenants = self.tenants.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut reports: Vec<TenantReport> = tenants
-            .values()
-            .map(|state| {
-                let state = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                TenantReport {
-                    tenant: state.name.clone(),
-                    shard: state.shard,
-                    requests: state.requests,
-                    throttled: state.throttled,
-                    degraded: state.degraded,
-                    slo: state.slo.report(),
-                }
-            })
-            .collect();
+        let tenants = super::lock(&self.tenants);
+        let mut reports: Vec<TenantReport> =
+            tenants.values().map(|state| super::lock(state).report()).collect();
         reports.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         reports
     }
@@ -295,7 +315,7 @@ impl FleetService {
         self.submit_to_shard(id as usize % self.shards.len(), scaled_window, id)
     }
 
-    pub(crate) fn submit_to_shard(
+    fn submit_to_shard(
         &self,
         shard: usize,
         scaled_window: &Tensor,
@@ -323,6 +343,12 @@ impl FleetService {
     }
 
     /// The forecast path behind [`Tenant::forecast`].
+    ///
+    /// Errors only when *nothing* can be served: the tenant has never
+    /// ingested an observation ([`EnhanceNetError::NotReady`]) or the
+    /// scaler rejects the window. Every other failure — dry quota, cold
+    /// window, full queue, missed deadline, worker panic — returns a
+    /// persistence forecast tagged with its [`DegradedCause`].
     pub(crate) fn tenant_forecast(
         &self,
         state: &Arc<Mutex<TenantState>>,
@@ -334,127 +360,99 @@ impl FleetService {
         // Hold the tenant lock only through admission + window assembly;
         // the wait for the worker parks outside it, so one tenant's slow
         // request never blocks its neighbors' ingest.
-        let (shard, anchor, raw) = {
-            let mut tenant = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let (shard, anchor, admitted) = {
+            let mut tenant = super::lock(state);
             tenant.requests += 1;
-            let anchor = tenant.buffer.latest_timestamp();
-            if let Some(bucket) = tenant.bucket.as_mut() {
-                if !bucket.try_take() {
-                    tenant.throttled += 1;
-                    enhancenet_telemetry::count("serve.tenant.throttled", 1);
-                    drop(tenant);
-                    return self.tenant_fallback(
-                        state,
-                        id,
-                        anchor,
-                        started,
-                        DegradedCause::QuotaExceeded,
-                    );
-                }
-            }
-            match tenant.buffer.window() {
-                Some(raw) => (tenant.shard, anchor, raw),
-                None => {
-                    drop(tenant);
-                    return self.tenant_fallback(
-                        state,
-                        id,
-                        anchor,
-                        started,
-                        DegradedCause::ColdWindow,
-                    );
-                }
-            }
+            let throttled = tenant.bucket.as_mut().is_some_and(|bucket| !bucket.try_take());
+            let admitted = if throttled {
+                tenant.throttled += 1;
+                enhancenet_telemetry::count("serve.tenant.throttled", 1);
+                Err(DegradedCause::QuotaExceeded)
+            } else {
+                tenant.buffer.window().ok_or(DegradedCause::ColdWindow)
+            };
+            (tenant.shard, tenant.buffer.latest_timestamp(), admitted)
+        };
+        let raw = match admitted {
+            Ok(raw) => raw,
+            Err(cause) => return self.fallback(state, id, anchor, started, cause),
         };
         let scaled = self.scaler.transform(&raw)?;
-        let pending = match self.submit_to_shard(shard, &scaled, id) {
-            Ok(pending) => pending,
-            Err(EnhanceNetError::Overloaded { .. }) => {
-                return self.tenant_fallback(state, id, anchor, started, DegradedCause::QueueFull);
-            }
-            Err(_) => {
-                return self.tenant_fallback(
-                    state,
-                    id,
-                    anchor,
-                    started,
-                    DegradedCause::WorkerPanic,
-                );
-            }
-        };
-        match pending.wait_reply(self.config.deadline) {
+        let reply = self
+            .submit_to_shard(shard, &scaled, id)
+            .and_then(|pending| pending.wait_reply(self.config.deadline));
+        let cause = match reply {
             Ok(reply) => {
                 let values = self.scaler.inverse_feature(&reply.values, self.config.target_feature);
-                let total_ns = started.elapsed().as_nanos() as u64;
-                enhancenet_telemetry::observe("serve.latency_ns", total_ns as f64);
-                self.record_outcome(total_ns, false);
-                record_tenant_outcome(state, total_ns, self.config.deadline.as_nanos(), false);
-                Ok(Forecast {
-                    values,
-                    degraded: None,
-                    anchor,
-                    request_id: id,
-                    timing: RequestTiming {
-                        queue_wait_ns: reply.queue_wait_ns,
-                        forward_ns: reply.forward_ns,
-                        total_ns,
-                    },
-                })
+                let timing = RequestTiming {
+                    queue_wait_ns: reply.queue_wait_ns,
+                    forward_ns: reply.forward_ns,
+                    total_ns: 0,
+                };
+                let forecast = Forecast { values, degraded: None, anchor, request_id: id, timing };
+                return Ok(self.finish(state, forecast, started));
             }
-            Err(EnhanceNetError::DeadlineExceeded { .. }) => {
-                self.tenant_fallback(state, id, anchor, started, DegradedCause::Deadline)
-            }
-            Err(_) => self.tenant_fallback(state, id, anchor, started, DegradedCause::WorkerPanic),
-        }
+            Err(EnhanceNetError::Overloaded { .. }) => DegradedCause::QueueFull,
+            Err(EnhanceNetError::DeadlineExceeded { .. }) => DegradedCause::Deadline,
+            Err(_) => DegradedCause::WorkerPanic,
+        };
+        self.fallback(state, id, anchor, started, cause)
     }
 
-    fn tenant_fallback(
+    /// Serves the tenant's persistence forecast, tagged with `cause`.
+    fn fallback(
         &self,
-        state: &Arc<Mutex<TenantState>>,
+        state: &Mutex<TenantState>,
         id: u64,
         anchor: Option<i64>,
         started: Instant,
         cause: DegradedCause,
     ) -> Result<Forecast, EnhanceNetError> {
         let values = {
-            let tenant = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            let tenant = super::lock(state);
             tenant.buffer.persistence_forecast(self.horizon, self.config.target_feature).ok_or(
                 EnhanceNetError::NotReady { have: tenant.buffer.len(), need: self.input[0] },
             )?
         };
         enhancenet_telemetry::count("serve.fallback", 1);
         enhancenet_telemetry::count(cause.counter_label(), 1);
-        let total_ns = started.elapsed().as_nanos() as u64;
-        enhancenet_telemetry::observe("serve.latency_ns", total_ns as f64);
-        self.record_outcome(total_ns, true);
-        record_tenant_outcome(state, total_ns, self.config.deadline.as_nanos(), true);
-        Ok(Forecast {
-            values,
-            degraded: Some(cause),
-            anchor,
-            request_id: id,
-            timing: RequestTiming { queue_wait_ns: 0, forward_ns: 0, total_ns },
-        })
+        let timing = RequestTiming::default();
+        let forecast = Forecast { values, degraded: Some(cause), anchor, request_id: id, timing };
+        Ok(self.finish(state, forecast, started))
     }
 
-    /// Fleet-wide outcome recording; tenants record separately.
-    fn record_outcome(&self, total_ns: u64, degraded: bool) {
-        let deadline_hit = u128::from(total_ns) <= self.config.deadline.as_nanos();
+    /// Stamps the end-to-end latency on `forecast` and records the outcome
+    /// in the fleet-wide and the tenant's rolling SLO windows. Deadline
+    /// attainment is judged on latency alone — a fast fallback still "hit"
+    /// its deadline; degradation is tracked as its own rate.
+    fn finish(
+        &self,
+        state: &Mutex<TenantState>,
+        mut forecast: Forecast,
+        started: Instant,
+    ) -> Forecast {
+        let total_ns = started.elapsed().as_nanos() as u64;
+        forecast.timing.total_ns = total_ns;
+        enhancenet_telemetry::observe("serve.latency_ns", total_ns as f64);
+        let hit = u128::from(total_ns) <= self.config.deadline.as_nanos();
+        let degraded = forecast.is_degraded();
         let report = {
-            let mut slo = self.slo.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            slo.record(total_ns as f64, deadline_hit, degraded);
-            if !enhancenet_telemetry::enabled() {
-                return;
-            }
-            slo.report()
+            let mut slo = super::lock(&self.slo);
+            slo.record(total_ns as f64, hit, degraded);
+            enhancenet_telemetry::enabled().then(|| slo.report())
         };
-        publish_slo_gauges(&report);
+        if let Some(report) = report {
+            publish_slo_gauges(&report);
+        }
+        super::lock(state).record(total_ns, hit, degraded);
+        forecast
     }
 
     /// Stops every worker and joins them. [`ShutdownMode::Drain`] answers
     /// all queued requests on the current snapshot first;
-    /// [`ShutdownMode::Now`] sheds them as `ServiceStopped`. Dropping the
-    /// fleet without calling this drains implicitly.
+    /// [`ShutdownMode::Now`] sheds them as `ServiceStopped` (tenant
+    /// forecasts waiting on them degrade). Dropping the fleet without
+    /// calling this drains implicitly.
     pub fn shutdown(mut self, mode: ShutdownMode) -> ShutdownReport {
         self.stop(mode);
         self.shutdown.report()
@@ -470,6 +468,8 @@ impl FleetService {
                 let _ = worker.join();
             }
         }
+        // Joining the exporter last lets a scraper observe the final
+        // not-ready state before the listener goes away.
         drop(self.metrics.take());
     }
 }
@@ -482,7 +482,7 @@ impl Drop for FleetService {
 
 /// Everything one fleet worker thread owns.
 struct WorkerCtx {
-    model: Arc<dyn Forecaster + Send>,
+    model: Arc<Mutex<CompileModel>>,
     snapshots: Arc<SnapshotCell>,
     rx: Receiver<BatchRequest>,
     max_batch: usize,
@@ -506,12 +506,13 @@ impl Drop for LiveGuard {
 /// Plan executors are keyed by batched input shape and scoped to the
 /// snapshot epoch they were compiled under: a hot swap clears the map
 /// (counted once per worker as `serve.swap.adopted`) and the next batch
-/// per shape recompiles against unchanged plan *structure* but the new
-/// snapshot's values. Hits and misses feed the same `plan.cache.*`
-/// counters as the single-service path, so the CI metric contract holds
-/// across both runtimes.
+/// per shape recompiles against the new snapshot (see [`CompileModel`]).
+/// Hits and misses feed the same `plan.cache.*` counters as
+/// [`Forecaster::predict`], so the CI metric contract holds for both.
 fn fleet_worker_loop(ctx: WorkerCtx) {
     let _guard = LiveGuard(Arc::clone(&ctx.live));
+    // Batch input and prediction buffers live for the whole worker: once a
+    // plan serves a given batch size, re-serving it touches no heap.
     let mut batch_x = Tensor::default();
     let mut pred = Tensor::default();
     let mut epoch = ctx.snapshots.epoch();
@@ -528,7 +529,7 @@ fn fleet_worker_loop(ctx: WorkerCtx) {
                 }
                 let n = batch.len() as u64;
                 worker::serve_batch(
-                    |x, out| run_on_snapshot(&*ctx.model, &snapshot, &mut execs, x, out),
+                    |x, out| run_on_snapshot(&ctx.model, &snapshot, &mut execs, x, out),
                     batch,
                     &mut batch_x,
                     &mut pred,
@@ -545,7 +546,7 @@ fn fleet_worker_loop(ctx: WorkerCtx) {
 /// Executes one batched forward for a fleet worker: look up (or compile)
 /// the plan for this batch shape, then run it against the snapshot store.
 fn run_on_snapshot(
-    model: &dyn Forecaster,
+    model: &Mutex<CompileModel>,
     snapshot: &Snapshot,
     execs: &mut HashMap<Vec<usize>, PlanExecutor>,
     x: &Tensor,
@@ -558,14 +559,14 @@ fn run_on_snapshot(
         }
         Entry::Vacant(entry) => {
             enhancenet_telemetry::count("plan.cache.misses", 1);
-            let (compiled, _traced) = model.compile_eval_plan(x);
-            match compiled {
-                Ok(plan) => entry.insert(PlanExecutor::new(plan)),
-                // Probed plannable at spawn; a shape-dependent compile
-                // failure degrades this batch instead of killing the
-                // worker.
-                Err(_) => return Err(EnhanceNetError::ServiceStopped),
-            }
+            // A panicking compile poisons the lock; the model itself is
+            // intact (its store is rewritten before every compile that
+            // needs different values), so later compiles reuse it.
+            let compiled =
+                model.lock().unwrap_or_else(PoisonError::into_inner).compile(snapshot, x);
+            // Probed plannable at spawn; a shape-dependent compile failure
+            // degrades this batch instead of killing the worker.
+            entry.insert(compiled.ok_or(EnhanceNetError::ServiceStopped)?)
         }
     };
     exec.run(&snapshot.store, x, out);

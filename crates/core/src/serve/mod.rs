@@ -5,32 +5,26 @@
 //! The offline path (train → [`crate::Trainer::evaluate`]) assumes the whole
 //! dataset is materialized. A deployed forecaster instead sees a stream of
 //! raw observations and must answer "what happens over the next `F` steps?"
-//! at any moment, within a latency budget. Two services close that gap:
-//!
-//! * [`ForecastService`] — one stream, one model, one worker thread. Raw
-//!   observations are ingested into a [`SlidingWindow`] ring buffer;
-//!   requests funnel through a bounded queue to a worker that answers them
-//!   in micro-batches; every failure mode (cold window, missed deadline,
-//!   full queue, worker panic) degrades to a persistence forecast tagged
-//!   with its [`DegradedCause`] instead of erroring or hanging.
-//! * [`FleetService`] — the same contract at fleet scale: requests are
-//!   sharded across `K` worker threads by tenant affinity, each worker
-//!   owning a private compiled-plan executor over a **shared model
-//!   snapshot**; a background trainer hot-swaps models with zero downtime
-//!   by publishing a new snapshot through an epoch cell
-//!   ([`FleetService::publisher`] — in-flight batches finish on the old
-//!   snapshot); and every tenant carries its own sliding window,
-//!   token-bucket quota ([`TenantQuota`]) and rolling SLO window, so one
-//!   bursting tenant is throttled ([`DegradedCause::QuotaExceeded`])
-//!   instead of starving the rest.
+//! at any moment, within a latency budget. One runtime closes that gap:
+//! [`FleetService`]. Every stream is a [`Tenant`] with its own
+//! [`SlidingWindow`] ring buffer, token-bucket quota ([`TenantQuota`]) and
+//! rolling SLO window; a single stream is one tenant of a `workers(1)`
+//! fleet. Requests are sharded across `K` worker threads by tenant
+//! affinity and answered in micro-batches, each worker owning a private
+//! compiled-plan executor over a **shared model snapshot**. A background
+//! trainer hot-swaps weights with zero downtime by publishing a new
+//! snapshot through an epoch cell ([`FleetService::publisher`] — in-flight
+//! batches finish on the old snapshot). Every failure mode (cold window,
+//! missed deadline, full queue, worker panic, dry quota) degrades to a
+//! persistence forecast tagged with its [`DegradedCause`] instead of
+//! erroring or hanging.
 //!
 //! Construction goes through the validating [`ServeConfig::builder`]
-//! (mirroring `TrainConfig::builder`): [`ServeConfigBuilder::spawn`] for a
-//! single service, [`ServeConfigBuilder::spawn_fleet`] for the fleet.
-//! Lifecycle ends with [`ForecastService::shutdown`] /
-//! [`FleetService::shutdown`], which take a [`ShutdownMode`] —
+//! (mirroring `TrainConfig::builder`) and
+//! [`ServeConfigBuilder::spawn_fleet`]. Lifecycle ends with
+//! [`FleetService::shutdown`], which takes a [`ShutdownMode`] —
 //! [`ShutdownMode::Drain`] completes queued requests,
-//! [`ShutdownMode::Now`] sheds them — and return a typed
+//! [`ShutdownMode::Now`] sheds them — and returns a typed
 //! [`ShutdownReport`].
 //!
 //! Telemetry: counters `serve.request`, `serve.fallback` (plus per-cause
@@ -50,7 +44,6 @@
 mod config;
 mod fleet;
 mod reply;
-mod service;
 mod snapshot;
 mod tenant;
 mod worker;
@@ -58,11 +51,18 @@ mod worker;
 pub use config::{ServeConfig, ServeConfigBuilder};
 pub use fleet::FleetService;
 pub use reply::PendingForecast;
-pub use service::ForecastService;
 pub use snapshot::SnapshotPublisher;
 pub use tenant::{Tenant, TenantQuota, TenantReport};
 
 use enhancenet_tensor::Tensor;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the data of a poisoned lock: serving state
+/// stays usable after a panic elsewhere (a worker's panics are contained
+/// per batch).
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Why a [`Forecast`] was served from the persistence fallback instead of
 /// the model. Each cause also increments its own
@@ -161,8 +161,7 @@ pub enum ShutdownMode {
     Now,
 }
 
-/// Typed accounting returned by [`ForecastService::shutdown`] and
-/// [`FleetService::shutdown`]: what happened to requests that were still
+/// Typed accounting returned by [`FleetService::shutdown`]: what happened to requests that were still
 /// queued when the shutdown began.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShutdownReport {

@@ -1,18 +1,23 @@
 //! Copy-on-write model snapshots and the epoch cell that publishes them.
 //!
-//! The fleet never mutates the model it serves. Instead, each worker loads
-//! the *current snapshot* — an immutable [`ParamStore`] copy behind an
-//! `Arc` — once per batch, and compiled plans resolve parameters live from
-//! that store at execution time (see `enhancenet_autodiff::Plan`: params
-//! are indexed by [`ParamId`], never baked into the plan). A background
-//! trainer hot-swaps weights by handing [`SnapshotPublisher::publish`] a
-//! new store: the cell swaps the `Arc` under a short lock and bumps the
-//! epoch counter. In-flight batches finish on the `Arc` they already
-//! cloned — zero downtime, no reader ever blocks on a writer for longer
-//! than the pointer swap — and workers adopt the new epoch at their next
-//! batch boundary, dropping plan executors compiled against the old
-//! weights' values (the plan *structure* survives; only the arena state is
-//! rebuilt).
+//! Each worker loads the *current snapshot* — an immutable [`ParamStore`]
+//! copy behind an `Arc` — once per batch, and compiled plans resolve
+//! parameters live from that store at execution time (see
+//! `enhancenet_autodiff::Plan`: params are indexed by [`ParamId`]). Values
+//! the model derives from its weights at trace time are a different
+//! matter: DFGN's cached filters, DAMGN's static fold, its top-k pattern
+//! and fallback rows enter the plan as constants. A worker therefore
+//! compiles every plan from a model whose store holds the snapshot's
+//! values (see `fleet::CompileModel`), so those constants match the
+//! weights the plan runs on.
+//!
+//! A background trainer hot-swaps weights by handing
+//! [`SnapshotPublisher::publish`] a new store: the cell swaps the `Arc`
+//! under a short lock and bumps the epoch counter. In-flight batches
+//! finish on the `Arc` they already cloned — zero downtime, no reader ever
+//! blocks on a writer for longer than the pointer swap — and workers adopt
+//! the new epoch at their next batch boundary, dropping the plan executors
+//! compiled for the old one.
 //!
 //! This is the `ArcSwap` idiom built from `std` primitives (the repo
 //! vendors no atomics crate): load = lock, clone `Arc`, unlock — a few
@@ -50,7 +55,7 @@ impl SnapshotCell {
 
     /// The currently published snapshot; a short-lock `Arc` clone.
     pub(crate) fn load(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+        Arc::clone(&super::lock(&self.current))
     }
 
     /// The epoch of the currently published snapshot, lock-free.
@@ -60,7 +65,7 @@ impl SnapshotCell {
 
     /// Swaps in `store` as the new current snapshot; returns its epoch.
     pub(crate) fn publish(&self, store: ParamStore) -> u64 {
-        let mut current = self.current.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut current = super::lock(&self.current);
         let epoch = current.epoch + 1;
         *current = Arc::new(Snapshot { epoch, store });
         // Epoch is advertised only after the snapshot is visible, so a

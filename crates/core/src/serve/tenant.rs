@@ -17,7 +17,7 @@ use super::Forecast;
 use crate::error::EnhanceNetError;
 use enhancenet_data::SlidingWindow;
 use enhancenet_telemetry::{SloReport, SloWindow};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A per-tenant request-rate quota, enforced by a token bucket.
@@ -48,7 +48,7 @@ impl TenantQuota {
         self
     }
 
-    /// The checks [`super::ServeConfig::validate`] applies.
+    /// The quota checks [`super::ServeConfigBuilder::build`] applies.
     pub(crate) fn validate(&self) -> Result<(), EnhanceNetError> {
         if !(self.rate.is_finite() && self.rate > 0.0) {
             return Err(EnhanceNetError::InvalidConfig {
@@ -108,6 +108,36 @@ pub(crate) struct TenantState {
     pub(crate) degraded: u64,
 }
 
+impl TenantState {
+    /// Records one answered request into the tenant's SLO window and
+    /// counters.
+    pub(crate) fn record(&mut self, total_ns: u64, deadline_hit: bool, degraded: bool) {
+        self.slo.record(total_ns as f64, deadline_hit, degraded);
+        if degraded {
+            self.degraded += 1;
+            enhancenet_telemetry::count("serve.tenant.degraded", 1);
+        }
+    }
+
+    pub(crate) fn report(&self) -> TenantReport {
+        TenantReport {
+            tenant: self.name.clone(),
+            shard: self.shard,
+            requests: self.requests,
+            throttled: self.throttled,
+            degraded: self.degraded,
+            slo: self.slo.report(),
+        }
+    }
+
+    /// Publishes how full the sliding window is (1.0 = warm) after every
+    /// ingest or eviction.
+    fn refresh_fill(&self) {
+        let fill = self.buffer.len() as f64 / self.buffer.horizon() as f64;
+        enhancenet_telemetry::gauge("serve.window.fill", fill);
+    }
+}
+
 /// Point-in-time statistics for one tenant; see [`Tenant::report`].
 #[derive(Debug, Clone)]
 pub struct TenantReport {
@@ -128,11 +158,8 @@ pub struct TenantReport {
 /// A handle to one tenant's stream within a [`FleetService`]; obtained
 /// from [`FleetService::tenant`], cheap to re-acquire.
 ///
-/// Ingest and forecast mirror the single-service API
-/// ([`super::ForecastService::ingest`] /
-/// [`super::ForecastService::forecast`]), but state, quota, and SLO
-/// accounting are all per-tenant, and requests route to the tenant's
-/// assigned worker shard.
+/// State, quota, and SLO accounting are all per-tenant, and requests route
+/// to the tenant's assigned worker shard.
 pub struct Tenant<'a> {
     pub(crate) fleet: &'a FleetService,
     pub(crate) state: Arc<Mutex<TenantState>>,
@@ -150,8 +177,8 @@ impl std::fmt::Debug for Tenant<'_> {
 }
 
 impl Tenant<'_> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, TenantState> {
-        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn lock(&self) -> MutexGuard<'_, TenantState> {
+        super::lock(&self.state)
     }
 
     /// The worker shard this tenant's requests route to.
@@ -172,25 +199,37 @@ impl Tenant<'_> {
         entity: usize,
         features: &[f32],
     ) -> Result<(), EnhanceNetError> {
-        self.lock().buffer.ingest(timestamp, entity, features)?;
+        let mut state = self.lock();
+        state.buffer.ingest(timestamp, entity, features)?;
+        state.refresh_fill();
         Ok(())
     }
 
     /// Ingests a full raw snapshot row (`N * C` values) at `timestamp`.
     pub fn ingest_row(&self, timestamp: i64, row: &[f32]) -> Result<(), EnhanceNetError> {
-        self.lock().buffer.ingest_row(timestamp, row)?;
+        let mut state = self.lock();
+        state.buffer.ingest_row(timestamp, row)?;
+        state.refresh_fill();
         Ok(())
     }
 
     /// Drops buffered history older than `cutoff`.
     pub fn evict_before(&self, cutoff: i64) {
-        self.lock().buffer.evict_before(cutoff);
+        let mut state = self.lock();
+        state.buffer.evict_before(cutoff);
+        state.refresh_fill();
     }
 
-    /// Forecasts the next `F` steps from this tenant's window; same
-    /// degradation contract as [`super::ForecastService::forecast`], plus
-    /// [`super::DegradedCause::QuotaExceeded`] when the tenant's token bucket is
-    /// dry (the request never reaches the shared queues).
+    /// Forecasts the next `F` steps from this tenant's window, degrading to
+    /// a persistence forecast when the model cannot answer in time.
+    ///
+    /// Errors only when *nothing* can be served: no observation has ever
+    /// been ingested ([`EnhanceNetError::NotReady`]) or the scaler rejects
+    /// the window shape. Every other failure path — warming window, missed
+    /// deadline, full queue, worker panic, or a dry token bucket
+    /// ([`super::DegradedCause::QuotaExceeded`]; the request never reaches
+    /// the shared queues) — returns a degraded forecast tagged with its
+    /// [`super::DegradedCause`].
     pub fn forecast(&self) -> Result<Forecast, EnhanceNetError> {
         self.fleet.tenant_forecast(&self.state)
     }
@@ -198,31 +237,6 @@ impl Tenant<'_> {
     /// Point-in-time statistics: request/throttle/degraded counts and the
     /// tenant's rolling SLO window.
     pub fn report(&self) -> TenantReport {
-        let state = self.lock();
-        TenantReport {
-            tenant: state.name.clone(),
-            shard: state.shard,
-            requests: state.requests,
-            throttled: state.throttled,
-            degraded: state.degraded,
-            slo: state.slo.report(),
-        }
-    }
-}
-
-/// The outcome bookkeeping shared by the fleet's healthy and fallback
-/// paths: records into the tenant's SLO window and bumps its counters.
-pub(crate) fn record_tenant_outcome(
-    state: &Mutex<TenantState>,
-    total_ns: u64,
-    deadline_ns: u128,
-    degraded: bool,
-) {
-    let mut state = state.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let deadline_hit = u128::from(total_ns) <= deadline_ns;
-    state.slo.record(total_ns as f64, deadline_hit, degraded);
-    if degraded {
-        state.degraded += 1;
-        enhancenet_telemetry::count("serve.tenant.degraded", 1);
+        self.lock().report()
     }
 }

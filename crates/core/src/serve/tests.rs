@@ -5,8 +5,10 @@ use crate::error::EnhanceNetError;
 use crate::forecaster::test_model::AffinePersistence;
 use crate::forecaster::{Forecaster, ForwardCtx};
 use enhancenet_autodiff::{Graph, ParamStore, Var};
-use enhancenet_data::StandardScaler;
+use enhancenet_data::{SlidingWindow, StandardScaler};
 use enhancenet_tensor::{Tensor, TensorRng};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const H: usize = 5;
@@ -20,52 +22,86 @@ fn scaler() -> StandardScaler {
     StandardScaler::fit(&history, 30).unwrap()
 }
 
-fn service(builder: ServeConfigBuilder) -> ForecastService {
-    let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    builder.spawn(Box::new(model), scaler()).unwrap()
+fn affine() -> AffinePersistence {
+    AffinePersistence::new(F).with_input_shape(H, N, C)
 }
 
-fn feed(svc: &mut ForecastService, steps: usize) {
+fn fleet(builder: ServeConfigBuilder) -> FleetService {
+    builder.spawn_fleet(Box::new(affine()), scaler()).unwrap()
+}
+
+/// The observation entity `e` reports at step `t` of a stream offset by
+/// `base`.
+fn observation(t: usize, e: usize, base: f32) -> f32 {
+    base + t as f32 + e as f32
+}
+
+fn feed_tenant(tenant: &Tenant<'_>, steps: usize, base: f32) {
     for t in 0..steps {
         for e in 0..N {
-            svc.ingest(t as i64, e, &[40.0 + t as f32 + e as f32]).unwrap();
+            tenant.ingest(t as i64, e, &[observation(t, e, base)]).unwrap();
         }
     }
 }
 
-#[test]
-fn served_forecast_matches_offline_predict() {
-    let mut svc = service(ServeConfig::builder());
-    feed(&mut svc, H);
-    let served = svc.forecast().unwrap();
-    assert!(!served.is_degraded());
-    assert_eq!(served.degraded, None);
-    assert_eq!(served.anchor, Some(H as i64 - 1));
-    assert_eq!(served.values.shape(), &[F, N]);
-
-    // The offline path over the same observations, scaled the same way.
-    let model = AffinePersistence::new(F).with_input_shape(H, N, C);
+/// The offline raw-scale forecast of `model` over the `H`-step window
+/// [`feed_tenant`] builds for `base`.
+fn offline(model: &dyn Forecaster, base: f32) -> Tensor {
+    let mut window = SlidingWindow::new(H, N, C);
+    for t in 0..H {
+        for e in 0..N {
+            window.ingest(t as i64, e, &[observation(t, e, base)]).unwrap();
+        }
+    }
     let sc = scaler();
-    let raw = svc.state().window().unwrap();
-    let offline = sc.inverse_feature(&model.predict(&sc.transform(&raw).unwrap()).unwrap(), 0);
-    assert_eq!(served.values.data(), offline.data());
+    let scaled = sc.transform(&window.window().unwrap()).unwrap();
+    sc.inverse_feature(&model.predict(&scaled).unwrap(), 0)
 }
 
 #[test]
-fn empty_service_reports_not_ready() {
-    let svc = service(ServeConfig::builder());
-    match svc.forecast() {
+fn fleet_serves_tenants_matching_offline_predict() {
+    let svc = fleet(ServeConfig::builder().workers(2));
+    assert_eq!(svc.workers(), 2);
+    assert_eq!(svc.workers_alive(), 2);
+    assert_eq!(svc.epoch(), 0);
+    let a = svc.tenant("acme");
+    let b = svc.tenant("babel");
+    feed_tenant(&a, H, 40.0);
+    feed_tenant(&b, H, 90.0);
+    // Tenants land on distinct round-robin shards.
+    assert_ne!(a.shard(), b.shard());
+    // Re-acquiring a tenant keeps its shard and state.
+    assert_eq!(svc.tenant("acme").shard(), a.shard());
+
+    let fa = a.forecast().unwrap();
+    let fb = b.forecast().unwrap();
+    assert!(!fa.is_degraded() && !fb.is_degraded());
+    assert_eq!(fa.anchor, Some(H as i64 - 1));
+    assert_eq!(fa.values.shape(), &[F, N]);
+    // Different streams produce different forecasts, and each matches the
+    // offline predict over its own window.
+    assert_ne!(fa.values.data(), fb.values.data());
+    assert_eq!(fa.values.data(), offline(&affine(), 40.0).data());
+    assert_eq!(fb.values.data(), offline(&affine(), 90.0).data());
+    svc.shutdown(ShutdownMode::Drain);
+}
+
+#[test]
+fn empty_tenant_reports_not_ready() {
+    let svc = fleet(ServeConfig::builder());
+    match svc.tenant("empty").forecast() {
         Err(EnhanceNetError::NotReady { have: 0, need }) => assert_eq!(need, H),
         other => panic!("expected NotReady, got {other:?}"),
     }
 }
 
 #[test]
-fn warming_buffer_serves_degraded_persistence() {
-    let mut svc = service(ServeConfig::builder());
-    svc.ingest(0, 0, &[42.0]).unwrap();
-    assert!(!svc.is_ready());
-    let f = svc.forecast().unwrap();
+fn warming_tenant_serves_degraded_persistence() {
+    let svc = fleet(ServeConfig::builder());
+    let tenant = svc.tenant("warming");
+    tenant.ingest(0, 0, &[42.0]).unwrap();
+    assert!(!tenant.is_ready());
+    let f = tenant.forecast().unwrap();
     assert_eq!(f.degraded, Some(DegradedCause::ColdWindow));
     assert!(f.is_degraded());
     assert_eq!(f.values.shape(), &[F, N]);
@@ -77,10 +113,11 @@ fn warming_buffer_serves_degraded_persistence() {
 
 #[test]
 fn request_ids_are_monotonic_and_timing_populated() {
-    let mut svc = service(ServeConfig::builder());
-    feed(&mut svc, H);
-    let a = svc.forecast().unwrap();
-    let b = svc.forecast().unwrap();
+    let svc = fleet(ServeConfig::builder());
+    let tenant = svc.tenant("ids");
+    feed_tenant(&tenant, H, 40.0);
+    let a = tenant.forecast().unwrap();
+    let b = tenant.forecast().unwrap();
     assert!(b.request_id > a.request_id, "ids must grow: {} then {}", a.request_id, b.request_id);
     for f in [&a, &b] {
         assert!(f.timing.total_ns > 0);
@@ -95,19 +132,24 @@ fn request_ids_are_monotonic_and_timing_populated() {
 
 #[test]
 fn slo_report_tracks_outcomes() {
-    let mut svc = service(ServeConfig::builder());
-    svc.ingest(0, 0, &[42.0]).unwrap();
-    let _ = svc.forecast().unwrap(); // cold-window fallback
-    feed(&mut svc, H);
-    let _ = svc.forecast().unwrap(); // healthy
-    let report = svc.slo_report();
-    assert_eq!(report.requests, 2);
-    assert!((report.degraded_rate - 0.5).abs() < 1e-12);
-    // Both answered far inside the 250 ms default deadline.
-    assert_eq!(report.deadline_hit_rate, 1.0);
-    assert_eq!(report.error_budget_burn, 0.0);
-    assert!(report.latency_p50_ns > 0.0);
-    assert_eq!(report.window, svc.config().slo_window);
+    let svc = fleet(ServeConfig::builder());
+    let tenant = svc.tenant("slo");
+    tenant.ingest(0, 0, &[42.0]).unwrap();
+    let _ = tenant.forecast().unwrap(); // cold-window fallback
+    feed_tenant(&tenant, H, 40.0);
+    let _ = tenant.forecast().unwrap(); // healthy
+                                        // The fleet-wide and the tenant's rolling windows saw the same two
+                                        // requests.
+    for report in [svc.slo_report(), tenant.report().slo] {
+        assert_eq!(report.requests, 2);
+        assert!((report.degraded_rate - 0.5).abs() < 1e-12);
+        // Both answered far inside the 250 ms default deadline.
+        assert_eq!(report.deadline_hit_rate, 1.0);
+        assert_eq!(report.error_budget_burn, 0.0);
+        assert!(report.latency_p50_ns > 0.0);
+        assert_eq!(report.window, svc.config().slo_window);
+    }
+    assert_eq!(tenant.report().degraded, 1);
 }
 
 /// A model that sleeps in `forward`, simulating an overloaded backend.
@@ -138,19 +180,22 @@ impl Forecaster for SlowModel {
     }
 }
 
+fn slow(sleep: Duration) -> Box<SlowModel> {
+    Box::new(SlowModel { inner: affine(), sleep })
+}
+
 #[test]
 fn missed_deadline_degrades_without_hanging() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(200),
-    };
-    let mut svc = ServeConfig::builder()
+    // The fleet runs `forward` only when it compiles a plan, so the
+    // worker's first batch is the slow one.
+    let svc = ServeConfig::builder()
         .deadline(Duration::from_millis(5))
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(slow(Duration::from_millis(200)), scaler())
         .unwrap();
-    feed(&mut svc, H);
+    let tenant = svc.tenant("late");
+    feed_tenant(&tenant, H, 40.0);
     let started = Instant::now();
-    let f = svc.forecast().unwrap();
+    let f = tenant.forecast().unwrap();
     assert_eq!(f.degraded, Some(DegradedCause::Deadline));
     assert!(
         started.elapsed() < Duration::from_millis(150),
@@ -166,24 +211,22 @@ fn missed_deadline_degrades_without_hanging() {
 
 #[test]
 fn overloaded_queue_degrades_with_queue_full_cause() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(300),
-    };
-    let mut svc = ServeConfig::builder()
+    let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(1)
         .deadline(Duration::from_millis(5))
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(slow(Duration::from_millis(300)), scaler())
         .unwrap();
-    feed(&mut svc, H);
-    // Occupy the worker with one request and fill the 1-deep queue with
-    // another; the next forecast cannot enqueue and must degrade.
+    let tenant = svc.tenant("crowded");
+    feed_tenant(&tenant, H, 40.0);
+    // Occupy the worker with one request (its first batch compiles, which
+    // is slow) and fill the 1-deep queue with another; the next forecast
+    // cannot enqueue and must degrade.
     let window = Tensor::zeros(&[H, N, C]);
     let _busy = svc.submit(&window).unwrap();
     std::thread::sleep(Duration::from_millis(30)); // let the worker take it
     let _queued = svc.submit(&window).unwrap();
-    let f = svc.forecast().unwrap();
+    let f = tenant.forecast().unwrap();
     assert_eq!(f.degraded, Some(DegradedCause::QueueFull));
     svc.shutdown(ShutdownMode::Drain);
 }
@@ -220,9 +263,12 @@ fn wait_deadline_includes_queue_time() {
     assert!(pending.wait(deadline).is_ok(), "delivered reply must survive a late wait");
 }
 
-/// A model whose forward panics, simulating a poisoned worker.
+/// A model whose forward panics once armed, simulating a poisoned
+/// worker. It starts disarmed so it passes the fleet's spawn-time probe
+/// compile.
 struct PanickyModel {
     inner: AffinePersistence,
+    armed: Arc<AtomicBool>,
 }
 
 impl Forecaster for PanickyModel {
@@ -241,34 +287,40 @@ impl Forecaster for PanickyModel {
     fn input_shape(&self) -> Option<[usize; 3]> {
         self.inner.input_shape()
     }
-    fn forward(&self, _g: &mut Graph, _x: &Tensor, _ctx: &mut ForwardCtx) -> Var {
-        panic!("injected model failure");
+    fn forward(&self, g: &mut Graph, x: &Tensor, ctx: &mut ForwardCtx) -> Var {
+        assert!(!self.armed.load(Ordering::SeqCst), "injected model failure");
+        self.inner.forward(g, x, ctx)
     }
 }
 
 #[test]
-fn worker_panic_degrades_and_service_survives() {
-    let model = PanickyModel { inner: AffinePersistence::new(F).with_input_shape(H, N, C) };
-    let mut svc = ServeConfig::builder().spawn(Box::new(model), scaler()).unwrap();
-    feed(&mut svc, H);
-    let first = svc.forecast().unwrap();
+fn worker_panic_degrades_and_fleet_survives() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let model = PanickyModel { inner: affine(), armed: Arc::clone(&armed) };
+    let svc = ServeConfig::builder().spawn_fleet(Box::new(model), scaler()).unwrap();
+    armed.store(true, Ordering::SeqCst);
+    let tenant = svc.tenant("doomed");
+    feed_tenant(&tenant, H, 40.0);
+    let first = tenant.forecast().unwrap();
     assert_eq!(first.degraded, Some(DegradedCause::WorkerPanic));
     // The worker survived the panic and still answers.
-    let second = svc.forecast().unwrap();
+    let second = tenant.forecast().unwrap();
     assert_eq!(second.degraded, Some(DegradedCause::WorkerPanic));
+    assert_eq!(svc.workers_alive(), 1);
+    // Disarmed, the same worker compiles and serves the model again.
+    armed.store(false, Ordering::SeqCst);
+    let healed = tenant.forecast().unwrap();
+    assert!(!healed.is_degraded(), "worker stayed broken: {:?}", healed.degraded);
+    assert_eq!(healed.values.data(), offline(&affine(), 40.0).data());
     svc.shutdown(ShutdownMode::Drain);
 }
 
 #[test]
 fn full_queue_rejects_submissions() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(100),
-    };
     let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(1)
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(slow(Duration::from_millis(100)), scaler())
         .unwrap();
     let window = Tensor::zeros(&[H, N, C]);
     let pendings: Vec<_> = (0..8).map(|_| svc.submit(&window)).collect();
@@ -285,11 +337,11 @@ fn full_queue_rejects_submissions() {
 
 #[test]
 fn micro_batch_replies_match_sequential_submissions() {
-    let svc = service(ServeConfig::builder().max_batch(4).max_wait(Duration::from_millis(25)));
+    let svc = fleet(ServeConfig::builder().max_batch(4).max_wait(Duration::from_millis(25)));
     let mut rng = TensorRng::seed(7);
     let windows: Vec<Tensor> = (0..4).map(|_| rng.normal(&[H, N, C], 0.0, 1.0)).collect();
     let pendings: Vec<PendingForecast> = windows.iter().map(|w| svc.submit(w).unwrap()).collect();
-    let model = AffinePersistence::new(F).with_input_shape(H, N, C);
+    let model = affine();
     for (window, pending) in windows.iter().zip(pendings) {
         let batched = pending.wait(Duration::from_secs(5)).unwrap();
         let solo = model.predict(window).unwrap();
@@ -300,7 +352,7 @@ fn micro_batch_replies_match_sequential_submissions() {
 
 #[test]
 fn submit_validates_window_shape() {
-    let svc = service(ServeConfig::builder());
+    let svc = fleet(ServeConfig::builder());
     match svc.submit(&Tensor::zeros(&[H, N + 1, C])) {
         Err(EnhanceNetError::InputShape { expected, got }) => {
             assert_eq!(expected, vec![H, N, C]);
@@ -334,50 +386,31 @@ fn builder_validation_is_typed() {
     }
     // A model without a declared input shape cannot be served.
     let bare = AffinePersistence::new(F);
-    match ServeConfig::builder().spawn(Box::new(bare), scaler()) {
+    match ServeConfig::builder().spawn_fleet(Box::new(bare), scaler()) {
         Err(EnhanceNetError::UnknownInputShape { .. }) => {}
         other => panic!("expected UnknownInputShape, got {:?}", other.err()),
     }
     // Model-dependent checks run at spawn: target feature out of range.
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    match ServeConfig::builder().target_feature(C).spawn(Box::new(model), scaler()) {
+    match ServeConfig::builder().target_feature(C).spawn_fleet(Box::new(model), scaler()) {
         Err(EnhanceNetError::InvalidConfig { field: "target_feature", .. }) => {}
         other => panic!("expected InvalidConfig, got {:?}", other.err()),
     }
     // An unbindable metrics address fails construction, typed.
     let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    match ServeConfig::builder().metrics_addr("256.0.0.1:0").spawn(Box::new(model), scaler()) {
+    let unbindable = ServeConfig::builder().metrics_addr("256.0.0.1:0");
+    match unbindable.spawn_fleet(Box::new(model), scaler()) {
         Err(EnhanceNetError::InvalidConfig { field: "metrics_addr", .. }) => {}
         other => panic!("expected InvalidConfig, got {:?}", other.err()),
     }
 }
 
 #[test]
-fn deprecated_literal_construction_still_validates() {
-    // The PR 4 path — struct literal + positional `new` — must keep
-    // working (and keep validating) for one release.
-    #[allow(deprecated)]
-    fn construct(config: ServeConfig) -> Result<ForecastService, EnhanceNetError> {
-        let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-        ForecastService::new(Box::new(model), scaler(), config)
-    }
-    assert!(construct(ServeConfig::default()).is_ok());
-    match construct(ServeConfig { max_batch: 0, ..Default::default() }) {
-        Err(EnhanceNetError::InvalidConfig { field: "max_batch", .. }) => {}
-        other => panic!("expected InvalidConfig, got {:?}", other.err()),
-    }
-}
-
-#[test]
 fn shutdown_drain_completes_queued_requests() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(20),
-    };
     let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(16)
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(slow(Duration::from_millis(20)), scaler())
         .unwrap();
     let window = Tensor::zeros(&[H, N, C]);
     let pendings: Vec<PendingForecast> = (0..4).map(|_| svc.submit(&window).unwrap()).collect();
@@ -394,23 +427,20 @@ fn shutdown_drain_completes_queued_requests() {
 
 #[test]
 fn shutdown_now_sheds_queued_requests() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(50),
-    };
     let svc = ServeConfig::builder()
         .max_batch(1)
         .queue_capacity(16)
-        .spawn(Box::new(model), scaler())
+        .spawn_fleet(slow(Duration::from_millis(50)), scaler())
         .unwrap();
     let window = Tensor::zeros(&[H, N, C]);
     let pendings: Vec<PendingForecast> = (0..6).map(|_| svc.submit(&window).unwrap()).collect();
     let report = svc.shutdown(ShutdownMode::Now);
     assert!(report.shed >= 4, "expected most of the queue shed, got {report:?}");
     assert_eq!(report.drained, 0);
-    let outcomes: Vec<_> = pendings.iter().map(|p| p.wait(Duration::from_secs(5))).collect();
-    let shed =
-        outcomes.iter().filter(|o| matches!(o, Err(EnhanceNetError::ServiceStopped))).count();
+    let shed = pendings
+        .iter()
+        .filter(|p| matches!(p.wait(Duration::from_secs(5)), Err(EnhanceNetError::ServiceStopped)))
+        .count();
     assert_eq!(shed as u64, report.shed, "every shed request must observe ServiceStopped");
 }
 
@@ -426,66 +456,20 @@ fn embedded_metrics_server_scrapes_and_reports_readiness() {
         body
     }
 
-    let mut svc = service(ServeConfig::builder().metrics_addr("127.0.0.1:0"));
+    let svc = fleet(ServeConfig::builder().metrics_addr("127.0.0.1:0"));
     let addr = svc.metrics_addr().expect("metrics server must be bound");
-    assert!(svc.worker_alive());
-    // Cold window: live but not ready.
+    assert_eq!(svc.workers_alive(), 1);
+    // Ready means every worker is alive, whatever the streams' warmth.
     assert!(http_get(addr, "/healthz").starts_with("HTTP/1.1 200"));
-    assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 503"));
-    feed(&mut svc, H);
     assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 200"));
-    let _ = svc.forecast().unwrap();
+    let tenant = svc.tenant("scraped");
+    feed_tenant(&tenant, H, 40.0);
+    let _ = tenant.forecast().unwrap();
     let scrape = http_get(addr, "/metrics");
     // The scrape may race other telemetry tests resetting the global
     // store, so only assert the exposition shape, not specific series.
     assert!(scrape.starts_with("HTTP/1.1 200"));
     assert!(scrape.contains("text/plain; version=0.0.4"));
-    svc.shutdown(ShutdownMode::Drain);
-}
-
-// ---- fleet ----
-
-fn fleet(builder: ServeConfigBuilder) -> FleetService {
-    let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    builder.spawn_fleet(Box::new(model), scaler()).unwrap()
-}
-
-fn feed_tenant(tenant: &Tenant<'_>, steps: usize, base: f32) {
-    for t in 0..steps {
-        for e in 0..N {
-            tenant.ingest(t as i64, e, &[base + t as f32 + e as f32]).unwrap();
-        }
-    }
-}
-
-#[test]
-fn fleet_serves_tenants_matching_offline_predict() {
-    let svc = fleet(ServeConfig::builder().workers(2));
-    assert_eq!(svc.workers(), 2);
-    assert_eq!(svc.workers_alive(), 2);
-    assert_eq!(svc.epoch(), 0);
-    let a = svc.tenant("acme");
-    let b = svc.tenant("babel");
-    feed_tenant(&a, H, 40.0);
-    feed_tenant(&b, H, 90.0);
-    // Tenants land on distinct round-robin shards.
-    assert_ne!(a.shard(), b.shard());
-    // Re-acquiring a tenant keeps its shard and state.
-    assert_eq!(svc.tenant("acme").shard(), a.shard());
-
-    let fa = a.forecast().unwrap();
-    let fb = b.forecast().unwrap();
-    assert!(!fa.is_degraded() && !fb.is_degraded());
-    // Different streams produce different forecasts...
-    assert_ne!(fa.values.data(), fb.values.data());
-    // ...and each matches the offline predict over its own window.
-    let model = AffinePersistence::new(F).with_input_shape(H, N, C);
-    let sc = scaler();
-    let mut svc_ref = service(ServeConfig::builder());
-    feed(&mut svc_ref, H);
-    let raw = svc_ref.state().window().unwrap();
-    let offline = sc.inverse_feature(&model.predict(&sc.transform(&raw).unwrap()).unwrap(), 0);
-    assert_eq!(fa.values.data(), offline.data());
     svc.shutdown(ShutdownMode::Drain);
 }
 
@@ -543,11 +527,7 @@ fn fleet_hot_swap_changes_forecasts_at_next_batch() {
     assert!(!after.is_degraded(), "swap must not degrade requests");
     assert_ne!(before.values.data(), after.values.data(), "new weights must change forecasts");
     // Bitwise parity with the offline predict on the new weights.
-    let sc = scaler();
-    let mut svc_ref = service(ServeConfig::builder());
-    feed(&mut svc_ref, H);
-    let raw = svc_ref.state().window().unwrap();
-    let offline = sc.inverse_feature(&trained.predict(&sc.transform(&raw).unwrap()).unwrap(), 0);
+    let offline = offline(&trained, 40.0);
     assert_eq!(after.values.data(), offline.data(), "post-swap serve must match offline predict");
     svc.shutdown(ShutdownMode::Drain);
 }
@@ -600,29 +580,6 @@ fn fleet_rejects_unplannable_models_up_front() {
         Err(EnhanceNetError::InvalidConfig { field: "model", .. }) => {}
         other => panic!("expected InvalidConfig, got {:?}", other.err()),
     }
-}
-
-#[test]
-fn fleet_shutdown_now_sheds_as_degraded_forecasts() {
-    let model = SlowModel {
-        inner: AffinePersistence::new(F).with_input_shape(H, N, C),
-        sleep: Duration::from_millis(50),
-    };
-    let svc = ServeConfig::builder()
-        .workers(1)
-        .max_batch(1)
-        .queue_capacity(16)
-        .spawn_fleet(Box::new(model), scaler())
-        .unwrap();
-    let window = Tensor::zeros(&[H, N, C]);
-    let pendings: Vec<PendingForecast> = (0..6).map(|_| svc.submit(&window).unwrap()).collect();
-    let report = svc.shutdown(ShutdownMode::Now);
-    assert!(report.shed >= 4, "expected most of the queue shed, got {report:?}");
-    let shed = pendings
-        .iter()
-        .filter(|p| matches!(p.wait(Duration::from_secs(5)), Err(EnhanceNetError::ServiceStopped)))
-        .count();
-    assert_eq!(shed as u64, report.shed);
 }
 
 #[test]

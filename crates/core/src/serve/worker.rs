@@ -1,17 +1,14 @@
-//! The batch worker machinery shared by [`super::ForecastService`] (one
-//! worker) and [`super::FleetService`] (one worker per shard): request /
-//! reply payloads, batch assembly, the batched serve step, and the
-//! shutdown accounting behind [`ShutdownReport`].
+//! The batch worker machinery behind each [`super::FleetService`] shard:
+//! request / reply payloads, batch assembly, the batched serve step, and
+//! the shutdown accounting behind [`ShutdownReport`].
 
 use super::reply::ReplyHandle;
 use super::{ShutdownMode, ShutdownReport};
 use crate::error::EnhanceNetError;
-use crate::forecaster::Forecaster;
 use crossbeam::channel::Receiver;
 use enhancenet_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// What the batch worker sends back: the scaled `[F, N]` prediction plus
@@ -97,16 +94,6 @@ impl ShutdownState {
     }
 }
 
-/// Clears `alive` when the owning worker exits — even by panic — so the
-/// `/readyz` probe and [`super::ForecastService::worker_alive`] flip.
-pub(crate) struct AliveGuard<'a>(pub(crate) &'a AtomicBool);
-
-impl Drop for AliveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::SeqCst);
-    }
-}
-
 /// Blocks for one request, then drains stragglers up to `max_batch`,
 /// waiting at most `max_wait` for more. Returns `None` once every sender
 /// is dropped and the queue is empty.
@@ -142,38 +129,6 @@ pub(crate) fn shed_batch(batch: Vec<BatchRequest>, shutdown: &ShutdownState) {
     shutdown.note_shed(batch.len() as u64);
     enhancenet_telemetry::count("serve.shutdown.shed", batch.len() as u64);
     drop(batch);
-}
-
-/// The single-model batch worker loop behind [`super::ForecastService`]:
-/// assemble a batch, check the shutdown mode, answer with one forward pass.
-pub(crate) fn worker_loop(
-    model: Box<dyn Forecaster + Send>,
-    rx: Receiver<BatchRequest>,
-    max_batch: usize,
-    max_wait: Duration,
-    alive: &AtomicBool,
-    shutdown: &ShutdownState,
-) {
-    let _guard = AliveGuard(alive);
-    // Batch input and prediction buffers live for the whole worker: once a
-    // compiled plan serves a given batch size, re-serving it touches no
-    // heap (`Tensor::stack_into` + `Forecaster::predict_into` reuse the
-    // retained capacity).
-    let mut batch_x = Tensor::default();
-    let mut pred = Tensor::default();
-    while let Some(batch) = next_batch(&rx, max_batch, max_wait) {
-        match shutdown.mode() {
-            Some(ShutdownMode::Now) => shed_batch(batch, shutdown),
-            mode => {
-                let n = batch.len() as u64;
-                serve_batch(|x, out| model.predict_into(x, out), batch, &mut batch_x, &mut pred);
-                if mode == Some(ShutdownMode::Drain) {
-                    shutdown.note_drained(n);
-                    enhancenet_telemetry::count("serve.shutdown.drained", n);
-                }
-            }
-        }
-    }
 }
 
 /// Runs one batched forward and distributes per-request replies. A panic in
@@ -231,10 +186,4 @@ pub(crate) fn serve_batch<F>(
             }
         }
     }
-}
-
-/// Shared bookkeeping for spawning a worker thread whose liveness feeds a
-/// readiness probe: a fresh `true` flag the worker clears on exit.
-pub(crate) fn alive_flag() -> Arc<AtomicBool> {
-    Arc::new(AtomicBool::new(true))
 }

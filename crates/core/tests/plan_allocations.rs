@@ -1,44 +1,16 @@
 //! Proves the compiled-plan serving contract: once a plan is compiled and
 //! its arena is warm, `Forecaster::predict_into` and the serve-batch
 //! assembly path (`Tensor::stack_into` + batched `predict_into`) perform
-//! **zero heap allocations**. Runs as its own integration binary so the
-//! counting allocator sees no interference from sibling tests.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! **zero heap allocations**. Counts with the shared
+//! `enhancenet-testalloc` allocator, which sees every thread.
 
 use enhancenet::{Forecaster, ForwardCtx};
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, PlanCache, Var};
 use enhancenet_tensor::{Tensor, TensorRng};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use enhancenet_testalloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Telemetry state (and the allocation counter) is process-global:
-/// serialize the tests so one test's warm-up cannot leak allocations into
-/// another's measured window.
-fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    GUARD
-        .get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 const H: usize = 6;
 const N: usize = 8;
@@ -96,7 +68,7 @@ impl Forecaster for LinearModel {
 
 #[test]
 fn warm_predict_into_is_allocation_free() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
     let model = LinearModel::new();
     let window = TensorRng::seed(2).normal(&[H, N, C], 0.0, 1.0);
@@ -116,25 +88,24 @@ fn warm_predict_into_is_allocation_free() {
         model.predict_into(&window, &mut out).expect("re-warm predict");
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        model.predict_into(&window, &mut out).expect("warm predict");
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for _ in 0..100 {
+            model.predict_into(&window, &mut out).expect("warm predict");
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "warm plan predict must not allocate ({} allocations observed over 100 runs)",
-        after - before
+        counts.allocations
     );
 }
 
 #[test]
 fn warm_serve_batch_path_is_allocation_free() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
     let model = LinearModel::new();
-    // The serve worker assembles rank-3 request windows into one rank-4
+    // The fleet worker assembles rank-3 request windows into one rank-4
     // batch (`Tensor::stack_into`) and predicts into a reusable buffer —
     // mirror that exact sequence here.
     let windows: Vec<Tensor> =
@@ -148,16 +119,15 @@ fn warm_serve_batch_path_is_allocation_free() {
     }
     assert_eq!(pred.shape(), &[4, F, N]);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        Tensor::stack_into(windows.iter(), &mut batch_x);
-        model.predict_into(&batch_x, &mut pred).expect("warm batch predict");
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for _ in 0..100 {
+            Tensor::stack_into(windows.iter(), &mut batch_x);
+            model.predict_into(&batch_x, &mut pred).expect("warm batch predict");
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "warm serve-batch path must not allocate ({} allocations observed over 100 runs)",
-        after - before
+        counts.allocations
     );
 }

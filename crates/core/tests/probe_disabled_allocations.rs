@@ -1,8 +1,8 @@
 //! Proves the model-health probes compile to an allocation-free no-op
 //! when telemetry is disabled: every probe entry point must check the
 //! global switch (and its own flag) before building metrics, graphs, or
-//! payloads. Runs as its own integration binary so the counting allocator
-//! sees no interference from sibling tests.
+//! payloads. Counts with the shared `enhancenet-testalloc` allocator,
+//! which sees every thread.
 
 use enhancenet::probes::{self, MemoryDriftProbe, ProbeConfig};
 use enhancenet::{Forecaster, ForwardCtx};
@@ -10,23 +10,7 @@ use enhancenet_autodiff::{Graph, ParamStore, Var};
 use enhancenet_data::traffic::{generate_traffic, TrafficConfig};
 use enhancenet_data::WindowDataset;
 use enhancenet_tensor::Tensor;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use enhancenet_testalloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -58,6 +42,7 @@ impl Forecaster for NullModel {
 
 #[test]
 fn disabled_probes_are_allocation_free() {
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
 
     // Build every input outside the measured window: the probes
@@ -69,20 +54,19 @@ fn disabled_probes_are_allocation_free() {
     let truth = Tensor::from_vec(vec![2.0; 2 * 12 * 4], &[2, 12, 4]);
     let cfg = ProbeConfig::default();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for epoch in 0..1_000 {
-        probes::record_error_attribution(&cfg, &pred, &truth);
-        probes::record_graph_diagnostics(&cfg, epoch, &model, &data);
-        let drift = MemoryDriftProbe::start(&cfg, &model);
-        drift.record(epoch, &model);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for epoch in 0..1_000 {
+            probes::record_error_attribution(&cfg, &pred, &truth);
+            probes::record_graph_diagnostics(&cfg, epoch, &model, &data);
+            let drift = MemoryDriftProbe::start(&cfg, &model);
+            drift.record(epoch, &model);
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "disabled probes must not allocate ({} allocations observed)",
-        after - before
+        counts.allocations
     );
     assert_eq!(enhancenet_telemetry::event_count("probe.entity_error"), 0);
     assert_eq!(enhancenet_telemetry::event_count("probe.damgn"), 0);

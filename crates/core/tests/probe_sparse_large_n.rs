@@ -2,31 +2,15 @@
 //! large entity counts when a top-k budget is configured: the sparse
 //! statistics path works on `[N, K]` value tensors and must never
 //! materialize the dense `[N, N]` adjacency (400 MB of f32 at `N = 10k`).
-//! Runs as its own integration binary so the counting allocator sees no
-//! interference from sibling tests.
+//! Counts with the shared `enhancenet-testalloc` allocator, which sees
+//! every thread (the pattern build may run on the rayon pool).
 
 use enhancenet::probes::{self, ProbeConfig};
 use enhancenet::{Damgn, DamgnConfig, Forecaster, ForwardCtx};
 use enhancenet_autodiff::{Graph, ParamStore, Var};
 use enhancenet_data::WindowDataset;
 use enhancenet_tensor::{Tensor, TensorRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use enhancenet_testalloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -61,6 +45,7 @@ impl Forecaster for SparseDamgnModel {
 
 #[test]
 fn topk_probe_is_allocation_bounded_at_ten_thousand_entities() {
+    let region = enhancenet_testalloc::serial();
     // The pattern build is O(N²·M); debug builds run a smaller N that
     // still exceeds the dense probe cap, release builds run the full 10k.
     const N: usize = if cfg!(debug_assertions) { 5_000 } else { 10_000 };
@@ -81,13 +66,13 @@ fn topk_probe_is_allocation_bounded_at_ten_thousand_entities() {
 
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(true);
-    let before = BYTES.load(Ordering::Relaxed);
-    probes::record_graph_diagnostics(&ProbeConfig::default(), 0, &model, &data);
-    let after = BYTES.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        probes::record_graph_diagnostics(&ProbeConfig::default(), 0, &model, &data);
+    });
     enhancenet_telemetry::set_enabled(false);
 
     assert_eq!(enhancenet_telemetry::event_count("probe.damgn"), 1);
-    let allocated = after - before;
+    let allocated = counts.bytes;
     // Dense B alone would be N² floats (400 MB at N = 10k, 100 MB at the
     // debug-mode 5k); the sparse path's tensors are [N, K] (~320 KB at
     // K = 8) plus transient scratch from the pattern build. Allow generous

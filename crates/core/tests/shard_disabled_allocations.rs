@@ -6,52 +6,36 @@
 //!   reduce → reset) must reuse its buffers in steady state, so epoch
 //!   throughput does not pay an allocator tax per batch.
 //!
-//! Runs as its own integration binary so the counting allocator sees no
-//! interference from sibling tests.
+//! Counts with the shared `enhancenet-testalloc` allocator, which sees
+//! every thread.
 
 use enhancenet_autodiff::{GradBuffer, ParamStore};
 use enhancenet_tensor::Tensor;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use enhancenet_testalloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn disabled_shard_telemetry_is_allocation_free() {
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        // The exact instrumentation the shard engine emits per batch.
-        enhancenet_telemetry::count("trainer.shard.batches", 1);
-        enhancenet_telemetry::count("trainer.shard.windows", 8);
-        let _fanout = enhancenet_telemetry::span("trainer.shard.fanout");
-        let _worker = enhancenet_telemetry::span("trainer.shard.worker");
-        let _reduce = enhancenet_telemetry::span("trainer.shard.reduce");
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for _ in 0..1_000 {
+            // The exact instrumentation the shard engine emits per batch.
+            enhancenet_telemetry::count("trainer.shard.batches", 1);
+            enhancenet_telemetry::count("trainer.shard.windows", 8);
+            let _fanout = enhancenet_telemetry::span("trainer.shard.fanout");
+            let _worker = enhancenet_telemetry::span("trainer.shard.worker");
+            let _reduce = enhancenet_telemetry::span("trainer.shard.reduce");
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "disabled shard telemetry must not allocate ({} allocations observed)",
-        after - before
+        counts.allocations
     );
     assert_eq!(enhancenet_telemetry::event_count("trainer.shard.batches"), 0);
     assert_eq!(enhancenet_telemetry::event_count("trainer.shard.windows"), 0);
@@ -63,6 +47,7 @@ fn gradient_reduction_reuses_buffers_in_steady_state() {
     // accumulate, fold into a running total in fixed order, reduce into the
     // store, then reset for the next batch. After the first batch has
     // materialized every slot, the cycle must be allocation-free.
+    let region = enhancenet_testalloc::serial();
     let mut store = ParamStore::new();
     let a = store.add("a", Tensor::zeros(&[4, 4]));
     let b = store.add("b", Tensor::zeros(&[4]));
@@ -82,22 +67,21 @@ fn gradient_reduction_reuses_buffers_in_steady_state() {
     window.reset();
     store.zero_grad();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        window.accumulate(a, &ga);
-        window.accumulate(b, &gb);
-        total.add_from(&window);
-        total.reduce_into(&mut store);
-        total.reset();
-        window.reset();
-        store.zero_grad();
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for _ in 0..1_000 {
+            window.accumulate(a, &ga);
+            window.accumulate(b, &gb);
+            total.add_from(&window);
+            total.reduce_into(&mut store);
+            total.reset();
+            window.reset();
+            store.zero_grad();
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "steady-state gradient reduction must not allocate ({} allocations observed)",
-        after - before
+        counts.allocations
     );
 }

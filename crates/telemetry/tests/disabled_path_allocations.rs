@@ -1,97 +1,66 @@
 //! Proves the "near-zero overhead when disabled" contract: with telemetry
-//! off, scoped timers, trace spans, counters, histograms, and event
-//! recording perform **zero heap allocations**. Runs as its own
-//! integration binary so the counting allocator sees no interference from
-//! sibling tests.
+//! off, trace spans, counters, histograms, and event recording perform
+//! **zero heap allocations**. Counts with the shared `enhancenet-testalloc`
+//! allocator, which sees every thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use enhancenet_testalloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Telemetry state (and the allocation counter) is process-global:
-/// serialize the tests so one test's enabled-path sanity block cannot leak
-/// allocations into the other's measured window.
-fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    GUARD
-        .get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn disabled_fast_path_is_allocation_free() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
     // Event payloads are only worth building when enabled; construct one
     // outside the measured window so record_event itself is what we count.
     let payload = serde_json::json!({"epoch": 1, "loss": 0.5});
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10_000 {
-        let _scope = enhancenet_telemetry::scoped("alloc.test.timer");
-        let _span = enhancenet_telemetry::span("alloc.test.span");
-        enhancenet_telemetry::count("alloc.test.counter", 3);
-        enhancenet_telemetry::observe("alloc.test.histogram", 42.0);
-        enhancenet_telemetry::record_event("alloc.test.event", &payload);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for _ in 0..10_000 {
+            let _span = enhancenet_telemetry::span("alloc.test.span");
+            enhancenet_telemetry::count("alloc.test.counter", 3);
+            enhancenet_telemetry::observe("alloc.test.histogram", 42.0);
+            enhancenet_telemetry::record_event("alloc.test.event", &payload);
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "disabled telemetry primitives must not allocate ({} allocations observed)",
-        after - before
+        counts.allocations
     );
 
     // Sanity: the same primitives do record (and may allocate) once enabled.
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(true);
     {
-        let _scope = enhancenet_telemetry::scoped("alloc.test.timer");
+        let _span = enhancenet_telemetry::span("alloc.test.span");
         enhancenet_telemetry::count("alloc.test.counter", 3);
     }
     enhancenet_telemetry::set_enabled(false);
     assert_eq!(enhancenet_telemetry::counter_value("alloc.test.counter"), 3);
-    assert!(enhancenet_telemetry::timer_stat("alloc.test.timer").is_some());
+    assert!(enhancenet_telemetry::timer_stat("alloc.test.span").is_some());
 }
 
 #[test]
 fn disabled_span_and_histogram_paths_are_allocation_free() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(false);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        let _outer = enhancenet_telemetry::span("alloc.span.outer");
-        let _inner = enhancenet_telemetry::span("alloc.span.inner");
-        enhancenet_telemetry::observe("alloc.hist", i as f64);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for i in 0..10_000u64 {
+            let _outer = enhancenet_telemetry::span("alloc.span.outer");
+            let _inner = enhancenet_telemetry::span("alloc.span.inner");
+            enhancenet_telemetry::observe("alloc.hist", i as f64);
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "disabled span/histogram primitives must not allocate ({} allocations observed)",
-        after - before
+        counts.allocations
     );
     assert_eq!(enhancenet_telemetry::span_count(), 0);
     assert!(enhancenet_telemetry::histogram_summary("alloc.hist").is_none());
@@ -99,7 +68,7 @@ fn disabled_span_and_histogram_paths_are_allocation_free() {
 
 #[test]
 fn disabled_gauge_snapshot_and_slo_paths_are_allocation_free() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::reset();
     enhancenet_telemetry::set_enabled(false);
     // The SLO ring is fixed-size after construction; build it outside the
@@ -107,21 +76,19 @@ fn disabled_gauge_snapshot_and_slo_paths_are_allocation_free() {
     let mut slo =
         enhancenet_telemetry::SloWindow::new(std::time::Duration::from_secs(60), 12, 0.99);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        enhancenet_telemetry::gauge("alloc.gauge", i as f64);
-        slo.record(i as f64, i % 100 != 0, i % 50 == 0);
-    }
-    let report = slo.report();
-    let snap = enhancenet_telemetry::snapshot();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((report, snap), counts) = region.measure(|| {
+        for i in 0..10_000u64 {
+            enhancenet_telemetry::gauge("alloc.gauge", i as f64);
+            slo.record(i as f64, i % 100 != 0, i % 50 == 0);
+        }
+        (slo.report(), enhancenet_telemetry::snapshot())
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "disabled gauges, empty snapshots, and SLO windows must not allocate \
          ({} allocations observed)",
-        after - before
+        counts.allocations
     );
     // The SLO window records regardless of the global switch (it is
     // caller-owned state, not registry state) ...

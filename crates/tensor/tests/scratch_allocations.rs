@@ -1,45 +1,18 @@
 //! Proves the scratch pool's steady-state contract: once a thread's pool is
 //! warm, acquiring pack buffers performs **zero heap allocations** while
 //! telemetry is disabled, and a warm blocked GEMM allocates only its output
-//! tensor. Runs as its own integration binary so the counting allocator
-//! sees no interference from sibling tests.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! tensor. Counts with the shared `enhancenet-testalloc` allocator, which
+//! sees every thread.
 
 use enhancenet_tensor::{with_scratch, Tensor};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use enhancenet_testalloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The allocation counter is process-global: serialize the tests so one
-/// test's warm-up cannot leak allocations into the other's measured window.
-fn lock_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    GUARD
-        .get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn warm_scratch_pool_is_allocation_free_when_disabled() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
 
     // Warm this thread's pool with the GEMM engine's nesting pattern: an
@@ -47,26 +20,25 @@ fn warm_scratch_pool_is_allocation_free_when_disabled() {
     let (b_panel, a_panel) = (256 * 512, 256 * 64);
     with_scratch(b_panel, |_| with_scratch(a_panel, |_| ()));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..10_000 {
-        with_scratch(b_panel, |outer| {
-            outer[0] = 1.0;
-            with_scratch(a_panel, |inner| inner[0] = 2.0);
-        });
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let ((), counts) = region.measure(|| {
+        for _ in 0..10_000 {
+            with_scratch(b_panel, |outer| {
+                outer[0] = 1.0;
+                with_scratch(a_panel, |inner| inner[0] = 2.0);
+            });
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        counts.allocations, 0,
         "warm scratch acquisitions must not allocate ({} allocations observed)",
-        after - before
+        counts.allocations
     );
 }
 
 #[test]
 fn warm_blocked_gemm_allocates_only_its_output() {
-    let _g = lock_tests();
+    let region = enhancenet_testalloc::serial();
     enhancenet_telemetry::set_enabled(false);
 
     // 64^3 = 256 Ki multiply-adds: big enough for the blocked/packed path,
@@ -75,16 +47,14 @@ fn warm_blocked_gemm_allocates_only_its_output() {
     let b = Tensor::from_vec((0..64 * 64).map(|v| (v % 3) as f32).collect(), &[64, 64]);
     let _warm = a.matmul(&b);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = a.matmul(&b);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (out, counts) = region.measure(|| a.matmul(&b));
     assert_eq!(out.shape(), &[64, 64]);
 
     // Output data vec + shape vec(s); anything beyond a handful means a
     // pack buffer or gradient temporary slipped past the pool.
     assert!(
-        after - before <= 4,
+        counts.allocations <= 4,
         "warm blocked GEMM should only allocate its output, saw {} allocations",
-        after - before
+        counts.allocations
     );
 }

@@ -1,7 +1,7 @@
-//! Online forecast serving: wrap a trained model in a [`ForecastService`],
-//! stream raw observations into its sliding window, and read 12-step
-//! forecasts back — including the graceful-degradation path while the
-//! window is still warming up.
+//! Online forecast serving: wrap a trained model in a single-worker
+//! [`FleetService`], stream raw observations into one tenant's sliding
+//! window, and read 12-step forecasts back — including the
+//! graceful-degradation path while the window is still warming up.
 //!
 //! ```sh
 //! cargo run --release --example online_serving
@@ -86,16 +86,18 @@ fn main() {
     println!("training {} offline ...", model.name());
     trainer.train(&mut model, &data);
 
-    // Hand the model (and the scaler it was trained with) to the service.
-    // The model moves to a worker thread that serves micro-batches; this
-    // thread keeps the sliding-window state and the raw-scale API.
-    let mut builder = ServeConfig::builder();
+    // Hand the model (and the scaler it was trained with) to the fleet.
+    // Its worker thread serves micro-batches through a compiled plan; the
+    // stream is one tenant, whose handle keeps the sliding-window state and
+    // the raw-scale API.
+    let mut builder = ServeConfig::builder().workers(1);
     if let Some(addr) = metrics_addr {
         builder = builder.metrics_addr(addr);
     }
-    let mut service = builder
-        .spawn(Box::new(model), data.scaler.clone())
-        .expect("model reports its input shape and the metrics address binds");
+    let service = builder
+        .spawn_fleet(Box::new(model), data.scaler.clone())
+        .expect("model is plannable, reports its input shape, and the metrics address binds");
+    let stream = service.tenant("sensors");
     println!(
         "serving: window {:?}, horizon {}, deadline {:?}",
         service.input_shape(),
@@ -107,14 +109,14 @@ fn main() {
     }
 
     // Replay the held-out tail of the series as a live feed. The first
-    // `H - 1` steps are not enough history: the service degrades to a
+    // `H - 1` steps are not enough history: the stream degrades to a
     // persistence forecast (tagged with its cause) instead of failing.
     let start = series.num_steps() - 24;
     let mut degraded_count = 0;
     for (step, t) in (start..series.num_steps()).enumerate() {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).expect("row has N*C values");
-        let forecast = service.forecast().expect("history exists once ingested");
+        stream.ingest_row(t as i64, row).expect("row has N*C values");
+        let forecast = stream.forecast().expect("history exists once ingested");
         if forecast.is_degraded() {
             degraded_count += 1;
         }
@@ -136,7 +138,7 @@ fn main() {
     );
 
     // Optionally keep the feed looping so an external scraper sees the
-    // service under steady load (used by the CI smoke job).
+    // fleet under steady load (used by the CI smoke job).
     if serve_secs > 0 {
         println!("replaying traffic for {serve_secs}s so /metrics can be scraped under load ...");
         let until = Instant::now() + Duration::from_secs(serve_secs);
@@ -144,8 +146,8 @@ fn main() {
         while Instant::now() < until {
             let src = (t as usize) % series.num_steps();
             let row = &series.values.data()[src * n * c..(src + 1) * n * c];
-            service.ingest_row(t, row).expect("row has N*C values");
-            let _ = service.forecast().expect("history exists once ingested");
+            stream.ingest_row(t, row).expect("row has N*C values");
+            let _ = stream.forecast().expect("history exists once ingested");
             t += 1;
             std::thread::sleep(Duration::from_millis(10));
         }

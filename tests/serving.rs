@@ -1,8 +1,8 @@
-//! End-to-end serving-path coverage: raw observations streamed through a
-//! [`ForecastService`] must produce exactly the forecasts the offline
-//! [`Forecaster::predict`] path produces on the same windows, and every
-//! failure mode must degrade to a persistence forecast instead of hanging
-//! or panicking.
+//! End-to-end serving-path coverage: raw observations streamed into one
+//! tenant of a single-worker [`FleetService`] must produce exactly the
+//! forecasts the offline [`Forecaster::predict`] path produces on the same
+//! windows, and every failure mode must degrade to a persistence forecast
+//! instead of hanging or panicking.
 
 use enhancenet::prelude::*;
 use enhancenet::ForwardCtx;
@@ -31,17 +31,19 @@ fn streamed_forecasts_match_offline_predict_bitwise() {
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
 
-    let mut service = ServeConfig::builder().spawn(Box::new(model()), data.scaler.clone()).unwrap();
+    let service =
+        ServeConfig::builder().spawn_fleet(Box::new(model()), data.scaler.clone()).unwrap();
+    let stream = service.tenant("stream");
     let offline = model();
 
     let mut compared = 0;
     for t in 0..60 {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
-        if !service.is_ready() {
+        stream.ingest_row(t as i64, row).unwrap();
+        if !stream.is_ready() {
             continue;
         }
-        let served = service.forecast().unwrap();
+        let served = stream.forecast().unwrap();
         assert!(!served.is_degraded(), "model answered within deadline at t={t}");
         assert_eq!(served.anchor, Some(t as i64));
 
@@ -94,18 +96,21 @@ fn missed_deadline_returns_degraded_persistence_not_an_error() {
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
 
+    // The fleet calls `forward` only to compile a plan, so the worker's
+    // first batch is the one that misses the deadline.
     let slow = SlowModel { inner: model(), sleep: Duration::from_millis(300) };
-    let mut service = ServeConfig::builder()
+    let service = ServeConfig::builder()
         .deadline(Duration::from_millis(5))
-        .spawn(Box::new(slow), data.scaler.clone())
+        .spawn_fleet(Box::new(slow), data.scaler.clone())
         .unwrap();
+    let stream = service.tenant("stream");
     for t in 0..H {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
+        stream.ingest_row(t as i64, row).unwrap();
     }
 
     let started = Instant::now();
-    let forecast = service.forecast().expect("degraded forecast, not an error");
+    let forecast = stream.forecast().expect("degraded forecast, not an error");
     assert_eq!(
         forecast.degraded,
         Some(DegradedCause::Deadline),
@@ -134,12 +139,15 @@ fn warming_service_degrades_instead_of_erroring() {
     let series = generate_traffic(&TrafficConfig::tiny(N, 2));
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
-    let mut service = ServeConfig::builder().spawn(Box::new(model()), data.scaler.clone()).unwrap();
+    let service =
+        ServeConfig::builder().spawn_fleet(Box::new(model()), data.scaler.clone()).unwrap();
+    let stream = service.tenant("stream");
     // Fewer rows than the window needs: degraded persistence, never a hang.
     for t in 0..H / 2 {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
-        let forecast = service.forecast().unwrap();
+        stream.ingest_row(t as i64, row).unwrap();
+        assert!(!stream.is_ready());
+        let forecast = stream.forecast().unwrap();
         assert_eq!(forecast.degraded, Some(DegradedCause::ColdWindow));
         assert_eq!(forecast.values.shape(), &[F, N]);
     }
@@ -165,21 +173,24 @@ fn live_scrape_exposes_slo_and_fallback_series() {
     let series = generate_traffic(&TrafficConfig::tiny(N, 2));
     let data = WindowDataset::from_series(&series, H, F).unwrap();
     let (n, c) = (series.num_entities(), series.num_features());
-    let mut service = ServeConfig::builder()
+    let service = ServeConfig::builder()
         .metrics_addr("127.0.0.1:0")
-        .spawn(Box::new(model()), data.scaler.clone())
+        .spawn_fleet(Box::new(model()), data.scaler.clone())
         .unwrap();
     let addr = service.metrics_addr().expect("ephemeral metrics port bound");
+    let stream = service.tenant("stream");
 
-    // Not ready while the window is cold; forecasts degrade but count.
-    assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 503"));
+    // Ready means every worker is alive, even while the stream's window is
+    // cold; cold forecasts degrade (counted as `serve.fallback.cold`).
+    assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 200"));
     let mut ids = Vec::new();
     for t in 0..2 * H {
         let row = &series.values.data()[t * n * c..(t + 1) * n * c];
-        service.ingest_row(t as i64, row).unwrap();
-        ids.push(service.forecast().unwrap().request_id);
+        stream.ingest_row(t as i64, row).unwrap();
+        ids.push(stream.forecast().unwrap().request_id);
     }
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "request ids must be strictly increasing");
+    assert!(stream.is_ready());
     assert!(http_get(addr, "/readyz").starts_with("HTTP/1.1 200"));
     assert!(http_get(addr, "/healthz").starts_with("HTTP/1.1 200"));
 
@@ -199,7 +210,8 @@ fn live_scrape_exposes_slo_and_fallback_series() {
     }
 
     // The rolling window saw every request; the cold-window half degraded.
-    let report = service.slo_report();
+    let report = stream.report().slo;
+    assert_eq!(report.requests, service.slo_report().requests);
     assert_eq!(report.requests, 2 * H as u64);
     assert!(report.degraded_rate > 0.0 && report.degraded_rate < 1.0);
     service.shutdown(ShutdownMode::Drain);
