@@ -24,7 +24,6 @@ use crate::gconv::GcSupport;
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, Var};
 use enhancenet_tensor::{CsrMatrix, Tensor, TensorRng, TopkPattern};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// DAMGN hyper-parameters. Paper default: `M = 10` for the `B₁`, `B₂`
 /// memories; the embedding width of θ/φ defaults to the input feature
@@ -347,7 +346,6 @@ impl Damgn {
     /// [`Damgn::bind_sparse_cached`]. Telemetry: `damgn.topk.*`.
     pub fn topk_pattern(&self, store: &ParamStore, k: usize) -> Arc<TopkPattern> {
         let _timer = enhancenet_telemetry::span("damgn.topk.build");
-        let started = enhancenet_telemetry::enabled().then(Instant::now);
         let b1 = store.value(self.b1);
         let b2 = store.value(self.b2);
         let n = self.num_entities;
@@ -360,8 +358,7 @@ impl Damgn {
                 *slot = bi.iter().zip(bj).map(|(&a, &b)| a * b).sum();
             }
         });
-        if let Some(t0) = started {
-            enhancenet_telemetry::count("damgn.topk.build_ns", t0.elapsed().as_nanos() as u64);
+        if enhancenet_telemetry::enabled() {
             enhancenet_telemetry::count("damgn.topk.builds", 1);
             enhancenet_telemetry::count("damgn.topk.rows", pattern.rows() as u64);
             enhancenet_telemetry::count("damgn.topk.nnz", pattern.nnz() as u64);

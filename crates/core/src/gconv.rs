@@ -5,6 +5,7 @@
 
 use enhancenet_autodiff::{Graph, Var};
 use enhancenet_tensor::{CsrMatrix, TopkPattern};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// An adjacency bound into the current graph.
@@ -54,7 +55,9 @@ impl GcSupport {
 /// `k` hops per support) and apply one linear map `w` of shape
 /// `[(1 + |S|·k)·C, C']` (optionally per-entity `[N, (1+|S|·k)·C, C']`).
 ///
-/// `x` is `[B, N, C]`; the result is `[B, N, C']`.
+/// `x` is `[B, N, C]`; the result is `[B, N, C']`. This is [`diffuse`]
+/// followed by the filter map; callers that apply several filters to one
+/// input share the diffusion through a [`DiffusionMemo`].
 pub fn graph_conv(
     g: &mut Graph,
     supports: &[GcSupport],
@@ -63,21 +66,16 @@ pub fn graph_conv(
     bias: Option<Var>,
     k_hops: usize,
 ) -> Var {
+    let feats = diffuse(g, supports, x, k_hops);
+    gc_filter(g, feats, w, bias, supports.len(), k_hops)
+}
+
+/// Diffusion half of [`graph_conv`]: the concatenated features
+/// `[x, S₁x, S₁²x, …, S₂x, …]` of `x ∈ [B, N, C]`, shape
+/// `[B, N, (1 + |S|·k)·C]`.
+pub fn diffuse(g: &mut Graph, supports: &[GcSupport], x: Var, k_hops: usize) -> Var {
     assert!(k_hops >= 1, "graph_conv needs at least 1 hop");
     assert_eq!(g.value(x).rank(), 3, "graph_conv expects x of rank 3 [B,N,C]");
-    let c_in = g.value(x).shape()[2];
-    let expected = gc_input_dim(c_in, supports.len(), k_hops);
-    let w_shape = g.value(w).shape().to_vec();
-    let w_in = match w_shape.len() {
-        2 => w_shape[0],
-        3 => w_shape[1],
-        r => panic!("graph_conv weight must be rank 2 [In, Out] or rank 3 [N, In, Out], got rank {r} ({w_shape:?})"),
-    };
-    assert_eq!(
-        w_in, expected,
-        "graph_conv weight input dim mismatch: expected {expected} = (1 + {} supports × {k_hops} hops) × {c_in} features, got {w_in} from weight shape {w_shape:?}",
-        supports.len(),
-    );
     let mut feats = vec![x];
     for s in supports {
         let mut cur = x;
@@ -86,11 +84,79 @@ pub fn graph_conv(
             feats.push(cur);
         }
     }
-    let cat = g.concat(&feats, -1); // [B, N, (1+S·k)·C]
-    let y = enhancenet_nn::apply_entity_filter(g, cat, w);
+    g.concat(&feats, -1) // [B, N, (1+S·k)·C]
+}
+
+/// Filter half of [`graph_conv`]: applies `w` (`[In, C']`, or per-entity
+/// `[N, In, C']`) and the optional bias to features produced by
+/// [`diffuse`] over `num_supports` supports and `k_hops` hops.
+///
+/// # Panics
+///
+/// Panics when `w`'s input dim is not [`gc_input_dim`] of the features.
+fn gc_filter(
+    g: &mut Graph,
+    feats: Var,
+    w: Var,
+    bias: Option<Var>,
+    num_supports: usize,
+    k_hops: usize,
+) -> Var {
+    let expected = g.value(feats).shape()[2];
+    let c_in = expected / (1 + num_supports * k_hops);
+    let w_shape = g.value(w).shape().to_vec();
+    let w_in = match w_shape.len() {
+        2 => w_shape[0],
+        3 => w_shape[1],
+        r => panic!("graph_conv weight must be rank 2 [In, Out] or rank 3 [N, In, Out], got rank {r} ({w_shape:?})"),
+    };
+    assert_eq!(
+        w_in, expected,
+        "graph_conv weight input dim mismatch: expected {expected} = (1 + {num_supports} supports × {k_hops} hops) × {c_in} features, got {w_in} from weight shape {w_shape:?}",
+    );
+    let y = enhancenet_nn::apply_entity_filter(g, feats, w);
     match bias {
         Some(b) => g.add(y, b),
         None => y,
+    }
+}
+
+/// Supports bound for one diffusion scope (a whole forward over static
+/// supports, or one timestep of DAMGN adjacencies) with [`diffuse`]
+/// memoised per input `Var`. A GRU cell step filters `x` three times and
+/// `h` twice; through the memo each distinct input is diffused once, and
+/// its VJP chain runs once on backward. Forward values are those of
+/// per-filter [`graph_conv`] calls, bit for bit.
+///
+/// The memo is valid only on the graph it was filled on.
+#[derive(Debug)]
+pub struct DiffusionMemo {
+    supports: Vec<GcSupport>,
+    k_hops: usize,
+    feats: RefCell<Vec<(Var, Var)>>,
+}
+
+impl DiffusionMemo {
+    /// An empty memo over `supports` with `k_hops` hops each.
+    pub fn new(supports: Vec<GcSupport>, k_hops: usize) -> Self {
+        Self { supports, k_hops, feats: RefCell::new(Vec::new()) }
+    }
+
+    /// [`diffuse`] of `x`, recorded on the first call for `x` and reused
+    /// afterwards.
+    fn features(&self, g: &mut Graph, x: Var) -> Var {
+        if let Some(&(_, f)) = self.feats.borrow().iter().find(|&&(v, _)| v == x) {
+            return f;
+        }
+        let f = diffuse(g, &self.supports, x, self.k_hops);
+        self.feats.borrow_mut().push((x, f));
+        f
+    }
+
+    /// [`graph_conv`] of `x` through the memoised features.
+    pub fn conv(&self, g: &mut Graph, x: Var, w: Var, bias: Option<Var>) -> Var {
+        let feats = self.features(g, x);
+        gc_filter(g, feats, w, bias, self.supports.len(), self.k_hops)
     }
 }
 

@@ -58,7 +58,7 @@ pub use dfgn::{
 };
 pub use error::EnhanceNetError;
 pub use forecaster::{Forecaster, ForwardCtx};
-pub use gconv::{graph_conv, GcSupport};
+pub use gconv::{graph_conv, DiffusionMemo, GcSupport};
 pub use probes::{MemoryDriftProbe, ProbeConfig};
 pub use serve::{
     DegradedCause, FleetService, Forecast, PendingForecast, RequestTiming, ServeConfig,

@@ -16,7 +16,7 @@
 
 use crate::config::{GraphMode, ModelDims, TemporalMode};
 use enhancenet::dfgn::{gru_filter_dim_general, split_gru_filters_general, FilterCache};
-use enhancenet::{graph_conv, Damgn, Dfgn, Forecaster, ForwardCtx, GcSupport, StaticFoldCache};
+use enhancenet::{Damgn, Dfgn, DiffusionMemo, Forecaster, ForwardCtx, GcSupport, StaticFoldCache};
 use enhancenet_autodiff::{Graph, ParamId, ParamStore, PlanCache, Var};
 use enhancenet_graph::build_supports;
 use enhancenet_nn::cell::{gru_step, Gate};
@@ -150,28 +150,30 @@ impl GruLayer {
         }
     }
 
-    /// One GRU step for `x ∈ [B, N, c_in]`, `h ∈ [B, N, C']`. When
-    /// `supports` is given, every filter application is a graph convolution
-    /// (§V-C1's replacement of matrix multiplication by `⋆_G`).
+    /// One GRU step for `x ∈ [B, N, c_in]`, `h ∈ [B, N, C']`. When a
+    /// diffusion scope is given, every filter application is a graph
+    /// convolution (§V-C1's replacement of matrix multiplication by `⋆_G`):
+    /// each distinct input (`x`, `h`, `r ⊙ h`) is diffused once through the
+    /// scope's memo and every gate applies its own filter to those features.
     fn step(
         &self,
         g: &mut Graph,
         bound: &BoundLayer,
         x: Var,
         h: Var,
-        supports: Option<(&[GcSupport], usize)>,
+        scope: Option<&DiffusionMemo>,
     ) -> Var {
         gru_step(
             g,
             x,
             h,
-            |g, v, gate| match supports {
+            |g, v, gate| match scope {
                 None => apply_entity_filter(g, v, bound.w[gate_index(gate)]),
-                Some((s, k)) => graph_conv(g, s, v, bound.w[gate_index(gate)], None, k),
+                Some(m) => m.conv(g, v, bound.w[gate_index(gate)], None),
             },
-            |g, v, gate| match supports {
+            |g, v, gate| match scope {
                 None => apply_entity_filter(g, v, bound.u[gate_index(gate)]),
-                Some((s, k)) => graph_conv(g, s, v, bound.u[gate_index(gate)], None, k),
+                Some(m) => m.conv(g, v, bound.u[gate_index(gate)], None),
             },
             |_, gate| Some(bound.b[gate_index(gate)]),
         )
@@ -388,27 +390,24 @@ impl GruSeq2Seq {
         Self { name, store, dims, enc, dec, head, graph, plan_cache: PlanCache::new() }
     }
 
-    /// Builds the per-timestep supports (static constants or DAMGN dynamic
-    /// adjacencies derived from the target-feature signal `signal_t`).
-    fn supports_at(
+    /// The diffusion scope for one timestep: a fresh memo over the DAMGN
+    /// dynamic adjacencies derived from the target-feature signal
+    /// `signal_t`, or `None` when the supports are static (the caller then
+    /// uses its forward-wide static scope, whose memo spans timesteps).
+    fn dynamic_scope_at(
         &self,
         g: &mut Graph,
-        base: &Option<Vec<Var>>,
         binding: &Option<enhancenet::DamgnBinding>,
         signal_t: Var,
-    ) -> Option<Vec<GcSupport>> {
+    ) -> Option<DiffusionMemo> {
         let parts = self.graph.as_ref()?;
-        let base = base.as_ref().expect("supports bound with graph parts");
-        match (&parts.damgn, binding) {
-            (Some(damgn), Some(binding)) => Some(
-                damgn
-                    .dynamic_supports_at(g, binding, signal_t)
-                    .into_iter()
-                    .map(GcSupport::Dynamic)
-                    .collect(),
-            ),
-            _ => Some(base.iter().map(|&v| GcSupport::Static(v)).collect()),
-        }
+        let (damgn, binding) = (parts.damgn.as_ref()?, binding.as_ref()?);
+        let supports = damgn
+            .dynamic_supports_at(g, binding, signal_t)
+            .into_iter()
+            .map(GcSupport::Dynamic)
+            .collect();
+        Some(DiffusionMemo::new(supports, parts.k_hops))
     }
 
     /// The DFGN memory parameter, when this is a `D-` variant (Figure 10).
@@ -480,7 +479,16 @@ impl Forecaster for GruSeq2Seq {
             self.enc.iter().map(|l| l.bind(g, &self.store, ctx.training)).collect();
         let dec_bound: Vec<BoundLayer> =
             self.dec.iter().map(|l| l.bind(g, &self.store, ctx.training)).collect();
-        let k_hops = self.graph.as_ref().map_or(0, |p| p.k_hops);
+        // Static supports bind one diffusion scope for the whole forward, so
+        // `hidden[l]` is diffused once for layer l+1's x-side at `t` and
+        // layer l's h-side at `t+1`; DAMGN hosts get a scope per timestep.
+        let static_scope = match (&self.graph, &base_supports, &damgn_binding) {
+            (Some(parts), Some(base), None) => Some(DiffusionMemo::new(
+                base.iter().map(|&v| GcSupport::Static(v)).collect(),
+                parts.k_hops,
+            )),
+            _ => None,
+        };
 
         // Eval traces read the window through a single input leaf so the
         // trace compiles to a reusable plan ([`PlanCache`]); training keeps
@@ -498,16 +506,11 @@ impl Forecaster for GruSeq2Seq {
                 None => g.constant(x.index_axis(1, t)),
             };
             let signal = g.slice_axis(xt, -1, 0, 1); // target feature
-            let sup = self.supports_at(g, &base_supports, &damgn_binding, signal);
+            let step_scope = self.dynamic_scope_at(g, &damgn_binding, signal);
+            let scope = step_scope.as_ref().or(static_scope.as_ref());
             let mut input = xt;
             for (l, layer) in self.enc.iter().enumerate() {
-                hidden[l] = layer.step(
-                    g,
-                    &enc_bound[l],
-                    input,
-                    hidden[l],
-                    sup.as_ref().map(|s| (s.as_slice(), k_hops)),
-                );
+                hidden[l] = layer.step(g, &enc_bound[l], input, hidden[l], scope);
                 input = hidden[l];
             }
         }
@@ -517,16 +520,11 @@ impl Forecaster for GruSeq2Seq {
         let mut dec_in = g.constant(Tensor::zeros(&[b, n, 1])); // GO token
         let mut outputs = Vec::with_capacity(f_len);
         for t in 0..f_len {
-            let sup = self.supports_at(g, &base_supports, &damgn_binding, dec_in);
+            let step_scope = self.dynamic_scope_at(g, &damgn_binding, dec_in);
+            let scope = step_scope.as_ref().or(static_scope.as_ref());
             let mut input = dec_in;
             for (l, layer) in self.dec.iter().enumerate() {
-                dec_hidden[l] = layer.step(
-                    g,
-                    &dec_bound[l],
-                    input,
-                    dec_hidden[l],
-                    sup.as_ref().map(|s| (s.as_slice(), k_hops)),
-                );
+                dec_hidden[l] = layer.step(g, &dec_bound[l], input, dec_hidden[l], scope);
                 input = dec_hidden[l];
             }
             let pred = self.head.forward(g, &self.store, input); // [B, N, 1]
@@ -831,5 +829,259 @@ mod tests {
         };
         assert!(spread(&m_shared) < 1e-6, "shared filters must be entity-symmetric");
         assert!(spread(&m_distinct) > 1e-6, "distinct filters must break symmetry");
+    }
+
+    // ------------------------------------------------ shared diffusion step
+
+    use enhancenet::gconv::{diffuse, gc_input_dim};
+    use enhancenet::graph_conv;
+    use enhancenet_tensor::{CsrMatrix, TopkPattern};
+    use std::sync::Arc;
+
+    const STEP_B: usize = 2;
+    const STEP_N: usize = 5;
+    const STEP_C: usize = 2;
+    const STEP_HIDDEN: usize = 3;
+    const STEP_K: usize = 2;
+
+    #[derive(Clone, Copy, Debug)]
+    enum SupportCase {
+        Static,
+        Dynamic,
+        SparseDynamic,
+    }
+
+    impl SupportCase {
+        /// Tape nodes one `GcSupport::apply` records.
+        fn nodes_per_hop(self) -> usize {
+            match self {
+                SupportCase::Static | SupportCase::Dynamic => 1,
+                SupportCase::SparseDynamic => 4,
+            }
+        }
+    }
+
+    /// Two supports of `case`, drawn from fixed seeds so every tape gets the
+    /// same values, plus the leaves that carry their gradients.
+    fn bind_supports(g: &mut Graph, case: SupportCase) -> (Vec<GcSupport>, Vec<Var>) {
+        let mut rng = TensorRng::seed(40);
+        let mut supports = Vec::new();
+        let mut leaves = Vec::new();
+        for _ in 0..2 {
+            match case {
+                SupportCase::Static => {
+                    let a = g.constant(rng.uniform(&[STEP_N, STEP_N], 0.0, 0.5));
+                    leaves.push(a);
+                    supports.push(GcSupport::Static(a));
+                }
+                SupportCase::Dynamic => {
+                    let a = g.constant(rng.uniform(&[STEP_B, STEP_N, STEP_N], 0.0, 0.5));
+                    leaves.push(a);
+                    supports.push(GcSupport::Dynamic(a));
+                }
+                SupportCase::SparseDynamic => {
+                    let dense = rng.uniform(&[STEP_N, STEP_N], -0.5, 0.5).map(|v| v.max(0.0));
+                    let csr = Arc::new(CsrMatrix::from_dense(&dense));
+                    let csr_t = Arc::new(csr.transpose());
+                    let scores = rng.normal(&[STEP_N, STEP_N], 0.0, 1.0);
+                    let pattern = Arc::new(TopkPattern::from_dense_topk(&scores, 2));
+                    let lambda_a = g.constant(Tensor::scalar(0.6));
+                    let vals = g.constant(rng.uniform(&[STEP_B, STEP_N, 2], 0.0, 0.5));
+                    leaves.extend([lambda_a, vals]);
+                    supports.push(GcSupport::SparseDynamic { csr, csr_t, lambda_a, vals, pattern });
+                }
+            }
+        }
+        (supports, leaves)
+    }
+
+    /// A graph-conv GRU layer (input width `STEP_C`) with its own store.
+    fn step_layer(temporal: &TemporalMode) -> (ParamStore, GruLayer) {
+        let mut store = ParamStore::new();
+        let mut rng = TensorRng::seed(41);
+        let memory = matches!(temporal, TemporalMode::Distinct(_))
+            .then(|| store.add("memory", rng.uniform(&[STEP_N, 4], -0.5, 0.5)));
+        let expand = |c: usize| gc_input_dim(c, 2, STEP_K);
+        let layer = GruLayer::new(
+            &mut store,
+            &mut rng,
+            "cell",
+            expand(STEP_C),
+            expand(STEP_HIDDEN),
+            STEP_HIDDEN,
+            temporal,
+            memory,
+            Some(STEP_N),
+        );
+        (store, layer)
+    }
+
+    /// Reference cell step: every gate and side calls `graph_conv` on its
+    /// own, diffusing its input anew.
+    fn per_gate_step(
+        g: &mut Graph,
+        bound: &BoundLayer,
+        x: Var,
+        h: Var,
+        supports: &[GcSupport],
+    ) -> Var {
+        gru_step(
+            g,
+            x,
+            h,
+            |g, v, gate| graph_conv(g, supports, v, bound.w[gate_index(gate)], None, STEP_K),
+            |g, v, gate| graph_conv(g, supports, v, bound.u[gate_index(gate)], None, STEP_K),
+            |_, gate| Some(bound.b[gate_index(gate)]),
+        )
+    }
+
+    /// One traced step and its backward: output, tape nodes the step
+    /// recorded, gradients of `[x, h, support leaves…]` and of every
+    /// parameter in store order.
+    struct StepRun {
+        out: Tensor,
+        step_nodes: usize,
+        input_grads: Vec<Option<Tensor>>,
+        param_grads: Vec<Tensor>,
+    }
+
+    fn run_step(case: SupportCase, temporal: &TemporalMode, shared: bool) -> StepRun {
+        let (mut store, layer) = step_layer(temporal);
+        let mut g = Graph::new();
+        let (supports, leaves) = bind_supports(&mut g, case);
+        let mut rng = TensorRng::seed(42);
+        let x = g.constant(rng.normal(&[STEP_B, STEP_N, STEP_C], 0.0, 1.0));
+        let h = g.constant(rng.normal(&[STEP_B, STEP_N, STEP_HIDDEN], 0.0, 1.0));
+        let bound = layer.bind(&mut g, &store, true);
+        let before = g.len();
+        let y = if shared {
+            let scope = DiffusionMemo::new(supports, STEP_K);
+            layer.step(&mut g, &bound, x, h, Some(&scope))
+        } else {
+            per_gate_step(&mut g, &bound, x, h, &supports)
+        };
+        let step_nodes = g.len() - before;
+        let sq = g.square(y);
+        let loss = g.sum_all(sq);
+        g.backward(loss);
+        store.zero_grad();
+        g.write_grads(&mut store);
+        let input_grads = [x, h].iter().chain(&leaves).map(|&v| g.grad(v).cloned()).collect();
+        let param_grads = store.ids().map(|id| store.grad(id).clone()).collect();
+        StepRun { out: g.value(y).clone(), step_nodes, input_grads, param_grads }
+    }
+
+    fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: values differ");
+    }
+
+    fn assert_rel_close(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        let diff = a.data().iter().zip(b.data()).map(|(x, y)| (x - y) * (x - y)).sum::<f32>();
+        let scale = a.norm().max(b.norm()).max(f32::MIN_POSITIVE);
+        assert!(diff.sqrt() <= 1e-5 * scale, "{what}: |Δ| {} vs scale {scale}", diff.sqrt());
+    }
+
+    /// Tape nodes one `diffuse` call records for `case`'s supports.
+    fn diffusion_chain_nodes(case: SupportCase) -> usize {
+        let mut g = Graph::new();
+        let (supports, _) = bind_supports(&mut g, case);
+        let x = g.constant(Tensor::ones(&[STEP_B, STEP_N, STEP_C]));
+        let before = g.len();
+        diffuse(&mut g, &supports, x, STEP_K);
+        g.len() - before
+    }
+
+    #[test]
+    fn shared_diffusion_step_matches_per_gate_graph_conv() {
+        let temporals = [TemporalMode::Shared, TemporalMode::Distinct(small_dfgn())];
+        for case in [SupportCase::Static, SupportCase::Dynamic, SupportCase::SparseDynamic] {
+            let chain = diffusion_chain_nodes(case);
+            // |S|·K support applications plus the concat.
+            assert_eq!(chain, 2 * STEP_K * case.nodes_per_hop() + 1, "{case:?}");
+            for temporal in &temporals {
+                let what = format!("{case:?} / {}", temporal.prefix());
+                let shared = run_step(case, temporal, true);
+                let reference = run_step(case, temporal, false);
+                assert_bitwise(&shared.out, &reference.out, &what);
+                // x is diffused once instead of three times, h once instead
+                // of twice; r ⊙ h once either way.
+                assert_eq!(reference.step_nodes - shared.step_nodes, 3 * chain, "{what}");
+                for (i, (a, b)) in shared.input_grads.iter().zip(&reference.input_grads).enumerate()
+                {
+                    match (a, b) {
+                        (Some(a), Some(b)) => assert_rel_close(a, b, &format!("{what} input {i}")),
+                        (None, None) => {}
+                        _ => panic!("{what}: input {i} gradient reached only one tape"),
+                    }
+                }
+                for (i, (a, b)) in shared.param_grads.iter().zip(&reference.param_grads).enumerate()
+                {
+                    assert!(a.norm() > 0.0, "{what}: param {i} got no gradient");
+                    assert_rel_close(a, b, &format!("{what} param {i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn static_scope_shares_hidden_diffusion_across_layers_and_timesteps() {
+        // Two stacked layers unrolled over T steps on static supports. With
+        // one forward-wide scope, `hidden[0]` at t is diffused once for
+        // layer 1's x-side at t and reused by layer 0's h-side at t+1:
+        // 5 diffusions per step (+1 for the initial h of layer 0) against
+        // the per-gate reference's 12.
+        const T: usize = 4;
+        let temporal = TemporalMode::Shared;
+        let unroll = |shared: bool| {
+            let (store0, layer0) = step_layer(&temporal);
+            let mut store1 = ParamStore::new();
+            let layer1 = {
+                let mut rng = TensorRng::seed(43);
+                let expand = |c: usize| gc_input_dim(c, 2, STEP_K);
+                GruLayer::new(
+                    &mut store1,
+                    &mut rng,
+                    "cell1",
+                    expand(STEP_HIDDEN),
+                    expand(STEP_HIDDEN),
+                    STEP_HIDDEN,
+                    &temporal,
+                    None,
+                    Some(STEP_N),
+                )
+            };
+            let mut g = Graph::new();
+            let (supports, _) = bind_supports(&mut g, SupportCase::Static);
+            let bound = [layer0.bind(&mut g, &store0, true), layer1.bind(&mut g, &store1, true)];
+            let layers = [&layer0, &layer1];
+            let scope = DiffusionMemo::new(supports.clone(), STEP_K);
+            let mut rng = TensorRng::seed(44);
+            let mut hidden: Vec<Var> =
+                (0..2).map(|_| g.constant(Tensor::zeros(&[STEP_B, STEP_N, STEP_HIDDEN]))).collect();
+            let before = g.len();
+            for _ in 0..T {
+                let mut input = g.constant(rng.normal(&[STEP_B, STEP_N, STEP_C], 0.0, 1.0));
+                for l in 0..2 {
+                    hidden[l] = if shared {
+                        layers[l].step(&mut g, &bound[l], input, hidden[l], Some(&scope))
+                    } else {
+                        per_gate_step(&mut g, &bound[l], input, hidden[l], &supports)
+                    };
+                    input = hidden[l];
+                }
+            }
+            // Subtract the T input leaves, which both unrolls record.
+            let nodes = g.len() - before - T;
+            (g.value(hidden[1]).clone(), nodes)
+        };
+        let (shared_out, shared_nodes) = unroll(true);
+        let (reference_out, reference_nodes) = unroll(false);
+        assert_bitwise(&shared_out, &reference_out, "two-layer static stack");
+        let chain = diffusion_chain_nodes(SupportCase::Static);
+        let saved = 12 * T - (5 * T + 1);
+        assert_eq!(reference_nodes - shared_nodes, saved * chain);
     }
 }

@@ -41,6 +41,13 @@ pub enum Gate {
 /// `apply_x(g, x, gate)` must return the x-side transform for `gate`, and
 /// `apply_h` the h-side transform. `bias(g, gate)` may return `None` for an
 /// unbiased cell. All transforms must produce the hidden shape.
+///
+/// `apply_x` is called three times (reset, update, candidate), each time
+/// with the same `x`; `apply_h` is called twice with `h_prev` (reset,
+/// update) and once with `r_t ⊙ h_{t-1}` (candidate). Appliers may
+/// therefore memoise per-input work by `Var` — the graph-convolutional
+/// hosts diffuse each distinct input once and apply only the per-gate
+/// filter per call.
 pub fn gru_step(
     g: &mut Graph,
     x: Var,

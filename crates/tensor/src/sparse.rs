@@ -24,13 +24,12 @@
 //! arithmetic work clears `SPARSE_PAR_MIN_WORK`. Counters (gated on
 //! [`enhancenet_telemetry::enabled`]): `graph.sparse.rows` and
 //! `graph.sparse.nnz` (rows / stored entries processed by the spmm-family
-//! kernels, batch included) and `graph.sparse.spmm_ns` (wall nanoseconds
-//! inside those kernels).
+//! kernels, batch included); the `graph.sparse.spmm` span times each of
+//! those kernels.
 
 use crate::scratch::with_scratch;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// At or above this many multiply-adds a sparse kernel forks to rayon.
 /// Mirrors the blocked GEMM engine's threshold.
@@ -38,21 +37,15 @@ const SPARSE_PAR_MIN_WORK: usize = 1 << 20;
 /// Rows per parallel band. Small enough to load-balance ragged rows.
 const ROW_BAND: usize = 64;
 
-/// Records one spmm-family dispatch: output rows and stored entries
-/// processed (batch included) plus wall time. A single relaxed atomic load
-/// when telemetry is disabled.
+/// Counts one spmm-family dispatch: output rows and stored entries
+/// processed (batch included). A single relaxed atomic load when telemetry
+/// is disabled.
 #[inline]
-fn record_spmm(rows: usize, nnz: usize, started: Option<Instant>) {
-    if let Some(t0) = started {
+fn record_spmm(rows: usize, nnz: usize) {
+    if enhancenet_telemetry::enabled() {
         enhancenet_telemetry::count("graph.sparse.rows", rows as u64);
         enhancenet_telemetry::count("graph.sparse.nnz", nnz as u64);
-        enhancenet_telemetry::count("graph.sparse.spmm_ns", t0.elapsed().as_nanos() as u64);
     }
-}
-
-#[inline]
-fn spmm_clock() -> Option<Instant> {
-    enhancenet_telemetry::enabled().then(Instant::now)
 }
 
 // ===================================================================== CSR
@@ -246,7 +239,7 @@ impl CsrMatrix {
     /// [`CsrMatrix::spmm`] into `out` (buffers reused). Parallelizes over
     /// row bands once the work is large enough.
     pub fn spmm_into(&self, x: &Tensor, out: &mut Tensor) {
-        let t0 = spmm_clock();
+        let _span = enhancenet_telemetry::span("graph.sparse.spmm");
         let (batch, c) = match x.shape() {
             [n, c] => {
                 assert_eq!(*n, self.cols, "spmm: {:?} against {} columns", x.shape(), self.cols);
@@ -284,7 +277,7 @@ impl CsrMatrix {
                 ob.chunks_mut(ROW_BAND * c).enumerate().for_each(|(bi, band)| body(bi, band));
             }
         }
-        record_spmm(batch * self.rows, batch * self.nnz(), t0);
+        record_spmm(batch * self.rows, batch * self.nnz());
     }
 }
 
@@ -557,7 +550,7 @@ pub fn topk_gather_dot_reduce_into(a: &Tensor, b: &Tensor, pat: &TopkPattern, ou
 /// is both the forward sparse support application and the left-gradient of
 /// [`topk_gather_dot_into`].
 pub fn topk_spmm_into(vals: &Tensor, x: &Tensor, pat: &TopkPattern, out: &mut Tensor) {
-    let t0 = spmm_clock();
+    let _span = enhancenet_telemetry::span("graph.sparse.spmm");
     let k = pat.k();
     let vals_batch = pattern_batch(vals, pat, k, "topk_spmm vals");
     let c = *x.shape().last().expect("spmm: scalar signal");
@@ -603,7 +596,7 @@ pub fn topk_spmm_into(vals: &Tensor, x: &Tensor, pat: &TopkPattern, out: &mut Te
             ob.chunks_mut(ROW_BAND * c).enumerate().for_each(|(bi, band)| body(bi, band));
         }
     }
-    record_spmm(batch * rows, batch * rows * k, t0);
+    record_spmm(batch * rows, batch * rows * k);
 }
 
 /// Scatter-adjoint of [`topk_spmm_into`]:
